@@ -15,6 +15,7 @@ import (
 	"repro/internal/decomp"
 	"repro/internal/fd"
 	"repro/internal/fluid"
+	"repro/internal/geom"
 	"repro/internal/grid"
 	"repro/internal/lbm"
 	"repro/internal/model"
@@ -207,6 +208,104 @@ func BenchmarkStepKernels(b *testing.B) {
 			return s
 		})
 	})
+}
+
+// ---------------------------------------------------------------------------
+// Kernel phases: the cost of each Compute(phase) of each method on one
+// rank at one worker, so a kernel change names the phase it moved. Each
+// iteration runs a full step; only the named phase is timed. The 2D
+// rank is the flue pipe at 100x100 (walls, inlet slot, sharp edge,
+// outlet, so mixed rows dominate as on a real flue rank), the 3D rank a
+// closed 24^3 duct with an inlet and an outlet face. Both domains are
+// closed, so no exchange is needed between phases.
+
+type phasedKernel interface {
+	Phases() int
+	Compute(phase int)
+	SetWorkers(n int)
+}
+
+func kernelPhaseParams() fluid.Params {
+	par := fluid.DefaultParams()
+	par.Nu = 0.05
+	par.Eps = 0.01
+	par.ForceX = 1e-5
+	par.InletVx = 0.04
+	return par
+}
+
+// closedDuct3D is a 24^3 duct walled on y and z, inlet at x = 0, outlet
+// at x = n-1.
+func closedDuct3D(n int) func(x, y, z int) fluid.CellType {
+	m := fluid.NewMask3D(n, n, n)
+	for z := 0; z < n; z++ {
+		for y := 0; y < n; y++ {
+			for x := 0; x < n; x++ {
+				switch {
+				case y == 0 || y == n-1 || z == 0 || z == n-1:
+					m.Set(x, y, z, fluid.Wall)
+				case x == 0:
+					m.Set(x, y, z, fluid.Inlet)
+				case x == n-1:
+					m.Set(x, y, z, fluid.Outlet)
+				}
+			}
+		}
+	}
+	return m.At
+}
+
+func BenchmarkKernelPhases(b *testing.B) {
+	const side2, side3 = 100, 24
+	flue := geom.FluePipe(side2, side2).At
+	duct := closedDuct3D(side3)
+	methods := []struct {
+		name  string
+		cells int
+		build func() (phasedKernel, error)
+	}{
+		{"LB2D", side2 * side2, func() (phasedKernel, error) {
+			return lbm.NewSolver2D(side2, side2, kernelPhaseParams(), flue)
+		}},
+		{"FD2D", side2 * side2, func() (phasedKernel, error) {
+			return fd.NewSolver2D(side2, side2, kernelPhaseParams(), flue)
+		}},
+		{"LB3D", side3 * side3 * side3, func() (phasedKernel, error) {
+			return lbm.NewSolver3D(side3, side3, side3, kernelPhaseParams(), duct)
+		}},
+		{"FD3D", side3 * side3 * side3, func() (phasedKernel, error) {
+			return fd.NewSolver3D(side3, side3, side3, kernelPhaseParams(), duct)
+		}},
+	}
+	for _, m := range methods {
+		probe, err := m.build()
+		if err != nil {
+			b.Fatal(err)
+		}
+		for ph := 0; ph < probe.Phases(); ph++ {
+			b.Run(fmt.Sprintf("%s/p%d", m.name, ph), func(b *testing.B) {
+				s, err := m.build()
+				if err != nil {
+					b.Fatal(err)
+				}
+				s.SetWorkers(1)
+				var timed time.Duration
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					for p := 0; p < s.Phases(); p++ {
+						if p != ph {
+							s.Compute(p)
+							continue
+						}
+						t0 := time.Now()
+						s.Compute(p)
+						timed += time.Since(t0)
+					}
+				}
+				b.ReportMetric(float64(timed.Nanoseconds())/float64(b.N)/float64(m.cells), "ns/cell")
+			})
+		}
+	}
 }
 
 // ---------------------------------------------------------------------------

@@ -96,6 +96,11 @@ func run(pass *analysis.Pass) error {
 		}
 		out.Funcs[fn.Key] = sum
 	}
+	// Function-typed fields are nodes of the graph too: a read of the
+	// field reaches every function the package ever stores in it.
+	for key, targets := range fieldStores(pass, funcs) {
+		out.Funcs[key] = funcSummary{Calls: targets}
+	}
 	if err := pass.ExportFact(&out); err != nil {
 		return err
 	}
@@ -176,6 +181,83 @@ func run(pass *analysis.Pass) error {
 	return nil
 }
 
+// funcField returns the key of a function-typed struct field selected
+// by sel.
+func funcField(pass *analysis.Pass, sel *ast.SelectorExpr) (string, bool) {
+	key, ok := dataflow.FieldKey(pass.TypesInfo, sel)
+	if !ok {
+		return "", false
+	}
+	if _, isFunc := pass.TypesInfo.TypeOf(sel).Underlying().(*types.Signature); !isFunc {
+		return "", false
+	}
+	return key, true
+}
+
+// fieldStores maps each function-typed field of the package to the
+// functions and method values assigned to it anywhere in the package
+// (typically once, at construction: s.relaxFn = s.relaxRows). The
+// kernels dispatch their row sweeps through such fields so the steady
+// step builds no closures; these edges keep the sweeps on the graph.
+func fieldStores(pass *analysis.Pass, funcs []dataflow.Func) map[string][]string {
+	sets := make(map[string]map[string]bool)
+	for _, fn := range funcs {
+		ast.Inspect(fn.Decl, func(n ast.Node) bool {
+			as, ok := n.(*ast.AssignStmt)
+			if !ok || len(as.Lhs) != len(as.Rhs) {
+				return true
+			}
+			for i, lhs := range as.Lhs {
+				sel, ok := ast.Unparen(lhs).(*ast.SelectorExpr)
+				if !ok {
+					continue
+				}
+				field, ok := funcField(pass, sel)
+				if !ok {
+					continue
+				}
+				target, ok := funcValue(pass, as.Rhs[i])
+				if !ok {
+					continue
+				}
+				if sets[field] == nil {
+					sets[field] = make(map[string]bool)
+				}
+				sets[field][target] = true
+			}
+			return true
+		})
+	}
+	out := make(map[string][]string, len(sets))
+	for field, set := range sets {
+		targets := make([]string, 0, len(set))
+		for t := range set {
+			targets = append(targets, t)
+		}
+		sort.Strings(targets)
+		out[field] = targets
+	}
+	return out
+}
+
+// funcValue resolves an expression naming a function or a method value
+// (f, pkg.F, x.M) to its key.
+func funcValue(pass *analysis.Pass, e ast.Expr) (string, bool) {
+	var id *ast.Ident
+	switch e := ast.Unparen(e).(type) {
+	case *ast.Ident:
+		id = e
+	case *ast.SelectorExpr:
+		id = e.Sel
+	default:
+		return "", false
+	}
+	if fn, ok := pass.TypesInfo.Uses[id].(*types.Func); ok {
+		return dataflow.FuncKey(fn), true
+	}
+	return "", false
+}
+
 func findCall(calls []callSite, key string) token.Pos {
 	for _, c := range calls {
 		if c.key == key {
@@ -204,6 +286,7 @@ func collect(pass *analysis.Pass, fd *ast.FuncDecl) ([]localSite, []callSite) {
 	// non-escaping closures.
 	type span struct{ pos, end token.Pos }
 	var cold []span
+	stored := make(map[*ast.SelectorExpr]bool)
 	stackClosure := make(map[*ast.FuncLit]bool)
 	localFns := make(map[types.Object]*ast.FuncLit)
 	callUses := make(map[types.Object]int)
@@ -227,6 +310,11 @@ func collect(pass *analysis.Pass, fd *ast.FuncDecl) ([]localSite, []callSite) {
 				totalUses[obj]++
 			}
 		case *ast.AssignStmt:
+			for _, lhs := range n.Lhs {
+				if sel, ok := ast.Unparen(lhs).(*ast.SelectorExpr); ok {
+					stored[sel] = true
+				}
+			}
 			if len(n.Lhs) == 1 && len(n.Rhs) == 1 {
 				if lit, ok := n.Rhs[0].(*ast.FuncLit); ok {
 					if id, ok := n.Lhs[0].(*ast.Ident); ok {
@@ -275,6 +363,14 @@ func collect(pass *analysis.Pass, fd *ast.FuncDecl) ([]localSite, []callSite) {
 	}
 	ast.Inspect(fd, func(n ast.Node) bool {
 		switch n := n.(type) {
+		case *ast.SelectorExpr:
+			// Reading a function-typed field (to call it or to hand it to
+			// a parallel-for) reaches whatever the package stored there.
+			if !stored[n] && !isCold(n.Pos()) {
+				if key, ok := funcField(pass, n); ok {
+					calls = append(calls, callSite{key, n.Pos()})
+				}
+			}
 		case *ast.CallExpr:
 			if !isCold(n.Pos()) {
 				if key, ok := dataflow.CalleeKey(pass, n); ok {

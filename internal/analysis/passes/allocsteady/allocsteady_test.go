@@ -34,3 +34,13 @@ func TestSeededLBMRegression(t *testing.T) {
 	}
 	analysistest.Run(t, "testdata", Analyzer, cfg, "lbmkern")
 }
+
+// TestFieldDispatch: sweeps reached only through function-typed fields
+// (stored at construction, read on the step path) are on the graph.
+func TestFieldDispatch(t *testing.T) {
+	cfg := &analysis.Config{
+		AllocPath:  []string{"rowkern"},
+		AllocRoots: []string{"rowkern.Solver.Compute"},
+	}
+	analysistest.Run(t, "testdata", Analyzer, cfg, "rowkern")
+}

@@ -318,6 +318,9 @@ func (j *Job) MigrateRanks(ranks []int, onDump func(rank int, st *dump.State)) e
 		if e.Kind == EventMigrated {
 			st := e.State.(*dump.State)
 			states[e.Rank] = st
+			// The old process's compute goroutine has exited; retire its
+			// controller too, or it and the solver it holds leak.
+			j.workers[e.Rank].Shutdown()
 			if onDump != nil {
 				onDump(e.Rank, st)
 			}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -8,6 +9,7 @@ import (
 	"repro/internal/decomp"
 	"repro/internal/dump"
 	"repro/internal/fluid"
+	"repro/internal/pool"
 	"repro/internal/syncfile"
 )
 
@@ -96,6 +98,46 @@ func TestSimultaneousMigration(t *testing.T) {
 	got := jp.Gather(steps)
 	if ok, x, y, d := resultsEqual(ref, got, 0); !ok {
 		t.Errorf("double migration differs at (%d,%d) by %g", x, y, d)
+	}
+}
+
+// TestMigrationReleasesOldWorkers migrates ranks repeatedly and requires
+// the goroutine count to return to its baseline after shutdown: every
+// replaced worker's control goroutine must exit, releasing the solver it
+// holds.
+func TestMigrationReleasesOldWorkers(t *testing.T) {
+	const steps, migrations = 30, 6
+	// Start the shared kernel pool first: its workers live for the
+	// process and must not count against the job.
+	var r pool.Runner
+	r.Run(2, 2, func(lo, hi int) {})
+	baseline := runtime.NumGoroutine()
+
+	ref, _, err := RunSequential2D(channelConfig(t, MethodLB, 2, 1, 16, 8), steps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, jp := newTestJob(t, channelConfig(t, MethodLB, 2, 1, 16, 8), steps)
+	j.Start()
+	for i := 0; i < migrations; i++ {
+		if err := j.MigrateRanks([]int{i % 2}, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := j.WaitDone(); err != nil {
+		t.Fatal(err)
+	}
+	j.Shutdown()
+	if ok, x, y, d := resultsEqual(ref, jp.Gather(steps), 0); !ok {
+		t.Errorf("migrated run differs at (%d,%d) by %g", x, y, d)
+	}
+
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > baseline {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines %d migrations after shutdown, baseline %d", runtime.NumGoroutine(), migrations, baseline)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }
 
@@ -212,6 +254,13 @@ func TestMonitorLoop(t *testing.T) {
 	if err := j.PlaceOnCluster(cl); err != nil {
 		t.Fatal(err)
 	}
+	// Hold every rank at step 10 until the user job lands, so the job is
+	// still running when the monitor sees the load: without the gate a
+	// fast machine finishes all 60 steps before the second check.
+	gate := make(chan struct{})
+	for _, r := range j.ranks() {
+		j.workers[r].Prog = &gatedProgram{Program: j.workers[r].Prog, gate: gate, at: 10}
+	}
 	j.Start()
 
 	migrated, err := j.MonitorLoop(5*time.Minute, cluster.DefaultMigrationPolicy(),
@@ -219,6 +268,7 @@ func TestMonitorLoop(t *testing.T) {
 			if tick == 1 {
 				// A user job lands on rank 0's host at the second check.
 				j.HostOf(0).StartJob()
+				close(gate)
 			}
 		})
 	if err != nil {
@@ -232,6 +282,25 @@ func TestMonitorLoop(t *testing.T) {
 	if ok, x, y, d := resultsEqual(ref, got, 0); !ok {
 		t.Errorf("monitored run differs at (%d,%d) by %g", x, y, d)
 	}
+}
+
+// gatedProgram blocks its rank's phase-0 compute of step `at` until gate
+// is closed.
+type gatedProgram struct {
+	Program
+	gate  chan struct{}
+	at    int
+	steps int
+}
+
+func (g *gatedProgram) Compute(phase int) {
+	if phase == 0 {
+		if g.steps == g.at {
+			<-g.gate
+		}
+		g.steps++
+	}
+	g.Program.Compute(phase)
 }
 
 // TestMonitorLoopRequiresCluster: defensive error path.

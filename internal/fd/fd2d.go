@@ -160,45 +160,52 @@ func (s *Solver2D) computeVelocity() {
 	s.Vy.Swap(s.nVy)
 }
 
-// velocityRows updates the velocity of rows [y0, y1).
+// velocityRows updates the velocity of rows [y0, y1). Each row takes its
+// base index into the fields' flat storage once; the stencil neighbours
+// are j+-1 along x and j+-sx along y. Every product that feeds a sum is
+// wrapped in an explicit float64 conversion, which the Go spec forbids
+// fusing into a multiply-add, so the update rounds identically on every
+// GOARCH.
 func (s *Solver2D) velocityRows(y0, y1 int) {
 	p := s.Par
 	dt, nu, cs2 := p.Dt, p.Nu, p.Cs*p.Cs
-	nx := s.Vx.NX
+	vxs, vys, rhos := s.Vx.Data(), s.Vy.Data(), s.Rho.Data()
+	nvx, nvy := s.nVx.Data(), s.nVy.Data()
+	nx, sx := s.Vx.NX, s.Vx.Stride()
 	for y := y0; y < y1; y++ {
 		open := s.rowOpen[y]
-		for x := 0; x < nx; x++ {
+		cells := s.cells[y*nx : (y+1)*nx]
+		b := s.Vx.Idx(0, y)
+		for x, c := range cells {
+			j := b + x
 			if !open {
-				switch s.cells[y*nx+x] {
+				switch c {
 				case fluid.Wall:
-					s.nVx.Set(x, y, 0)
-					s.nVy.Set(x, y, 0)
+					nvx[j], nvy[j] = 0, 0
 					continue
 				case fluid.Inlet:
-					s.nVx.Set(x, y, p.InletVx)
-					s.nVy.Set(x, y, p.InletVy)
+					nvx[j], nvy[j] = p.InletVx, p.InletVy
 					continue
 				case fluid.Outlet:
 					// Open boundary: velocity convects out unchanged.
-					s.nVx.Set(x, y, s.Vx.At(x, y))
-					s.nVy.Set(x, y, s.Vy.At(x, y))
+					nvx[j], nvy[j] = vxs[j], vys[j]
 					continue
 				}
 			}
-			vx, vy := s.Vx.At(x, y), s.Vy.At(x, y)
-			rho := s.Rho.At(x, y)
+			vx, vy := vxs[j], vys[j]
+			rho := rhos[j]
 
-			dVxdx := 0.5 * (s.Vx.At(x+1, y) - s.Vx.At(x-1, y))
-			dVxdy := 0.5 * (s.Vx.At(x, y+1) - s.Vx.At(x, y-1))
-			dVydx := 0.5 * (s.Vy.At(x+1, y) - s.Vy.At(x-1, y))
-			dVydy := 0.5 * (s.Vy.At(x, y+1) - s.Vy.At(x, y-1))
-			dRdx := 0.5 * (s.Rho.At(x+1, y) - s.Rho.At(x-1, y))
-			dRdy := 0.5 * (s.Rho.At(x, y+1) - s.Rho.At(x, y-1))
-			lapVx := s.Vx.At(x+1, y) + s.Vx.At(x-1, y) + s.Vx.At(x, y+1) + s.Vx.At(x, y-1) - 4*vx
-			lapVy := s.Vy.At(x+1, y) + s.Vy.At(x-1, y) + s.Vy.At(x, y+1) + s.Vy.At(x, y-1) - 4*vy
+			dVxdx := 0.5 * (vxs[j+1] - vxs[j-1])
+			dVxdy := 0.5 * (vxs[j+sx] - vxs[j-sx])
+			dVydx := 0.5 * (vys[j+1] - vys[j-1])
+			dVydy := 0.5 * (vys[j+sx] - vys[j-sx])
+			dRdx := 0.5 * (rhos[j+1] - rhos[j-1])
+			dRdy := 0.5 * (rhos[j+sx] - rhos[j-sx])
+			lapVx := vxs[j+1] + vxs[j-1] + vxs[j+sx] + vxs[j-sx] - float64(4*vx)
+			lapVy := vys[j+1] + vys[j-1] + vys[j+sx] + vys[j-sx] - float64(4*vy)
 
-			s.nVx.Set(x, y, vx+dt*(-vx*dVxdx-vy*dVxdy-cs2/rho*dRdx+nu*lapVx+p.ForceX))
-			s.nVy.Set(x, y, vy+dt*(-vx*dVydx-vy*dVydy-cs2/rho*dRdy+nu*lapVy+p.ForceY))
+			nvx[j] = vx + float64(dt*(float64(-vx*dVxdx)-float64(vy*dVxdy)-float64(cs2/rho*dRdx)+float64(nu*lapVx)+p.ForceX))
+			nvy[j] = vy + float64(dt*(float64(-vx*dVydx)-float64(vy*dVydy)-float64(cs2/rho*dRdy)+float64(nu*lapVy)+p.ForceY))
 		}
 	}
 }
@@ -211,30 +218,35 @@ func (s *Solver2D) computeDensity() {
 	s.Rho.Swap(s.nRho)
 }
 
-// densityRows updates the density of rows [y0, y1).
+// densityRows updates the density of rows [y0, y1), indexing the flat
+// storage from one base per row (see velocityRows).
 func (s *Solver2D) densityRows(y0, y1 int) {
 	p := s.Par
 	dt := p.Dt
-	nx := s.Rho.NX
+	vxs, vys, rhos, nrho := s.Vx.Data(), s.Vy.Data(), s.Rho.Data(), s.nRho.Data()
+	nx, sx := s.Rho.NX, s.Rho.Stride()
 	for y := y0; y < y1; y++ {
 		open := s.rowOpen[y]
-		for x := 0; x < nx; x++ {
+		cells := s.cells[y*nx : (y+1)*nx]
+		b := s.Rho.Idx(0, y)
+		for x, c := range cells {
+			j := b + x
 			if !open {
-				switch s.cells[y*nx+x] {
+				switch c {
 				case fluid.Inlet:
-					s.nRho.Set(x, y, p.InletRho)
+					nrho[j] = p.InletRho
 					continue
 				case fluid.Outlet:
-					s.nRho.Set(x, y, p.OutletRho)
+					nrho[j] = p.OutletRho
 					continue
 				}
 			}
 			// Walls evolve by the same flux form; with V = 0 at wall
 			// nodes the normal flux at the wall face vanishes and mass
 			// stays where it is.
-			dFxdx := 0.5 * (s.Rho.At(x+1, y)*s.Vx.At(x+1, y) - s.Rho.At(x-1, y)*s.Vx.At(x-1, y))
-			dFydy := 0.5 * (s.Rho.At(x, y+1)*s.Vy.At(x, y+1) - s.Rho.At(x, y-1)*s.Vy.At(x, y-1))
-			s.nRho.Set(x, y, s.Rho.At(x, y)-dt*(dFxdx+dFydy))
+			dFxdx := float64(0.5 * (float64(rhos[j+1]*vxs[j+1]) - float64(rhos[j-1]*vxs[j-1])))
+			dFydy := float64(0.5 * (float64(rhos[j+sx]*vys[j+sx]) - float64(rhos[j-sx]*vys[j-sx])))
+			nrho[j] = rhos[j] - float64(dt*(dFxdx+dFydy))
 		}
 	}
 }
@@ -317,5 +329,5 @@ func (s *Solver2D) MaxVelocity() float64 {
 
 // Vorticity computes the curl dVy/dx - dVx/dy at interior node (x, y).
 func (s *Solver2D) Vorticity(x, y int) float64 {
-	return 0.5*(s.Vy.At(x+1, y)-s.Vy.At(x-1, y)) - 0.5*(s.Vx.At(x, y+1)-s.Vx.At(x, y-1))
+	return float64(0.5*(s.Vy.At(x+1, y)-s.Vy.At(x-1, y))) - float64(0.5*(s.Vx.At(x, y+1)-s.Vx.At(x, y-1)))
 }

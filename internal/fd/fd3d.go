@@ -135,65 +135,63 @@ func (s *Solver3D) computeVelocity() {
 }
 
 // velocityPlanes updates the velocity of z-planes [z0, z1). The momentum
-// derivatives are written out term by term (the serial version's grad/lap
-// helper closures, manually inlined with identical expressions) so the hot
-// loop builds no closures.
+// derivatives are written out term by term so the hot loop builds no
+// closures; each row takes its base index into the flat storage once and
+// reaches its neighbours at j+-1, j+-sx and j+-sxy. Products that feed a
+// sum are wrapped in explicit float64 conversions (see Solver2D).
 func (s *Solver3D) velocityPlanes(z0, z1 int) {
 	p := s.Par
 	dt, nu, cs2 := p.Dt, p.Nu, p.Cs*p.Cs
+	vxs, vys, vzs, rhos := s.Vx.Data(), s.Vy.Data(), s.Vz.Data(), s.Rho.Data()
+	nvx, nvy, nvz := s.nVx.Data(), s.nVy.Data(), s.nVz.Data()
 	nx, ny := s.Vx.NX, s.Vx.NY
+	sx, sxy := s.Vx.StrideX(), s.Vx.StrideXY()
 	for z := z0; z < z1; z++ {
 		for y := 0; y < ny; y++ {
 			open := s.rowOpen[z*ny+y]
 			row := (z*ny + y) * nx
-			for x := 0; x < nx; x++ {
+			cells := s.cells[row : row+nx]
+			b := s.Vx.Idx(0, y, z)
+			for x, c := range cells {
+				j := b + x
 				if !open {
-					switch s.cells[row+x] {
+					switch c {
 					case fluid.Wall:
-						s.nVx.Set(x, y, z, 0)
-						s.nVy.Set(x, y, z, 0)
-						s.nVz.Set(x, y, z, 0)
+						nvx[j], nvy[j], nvz[j] = 0, 0, 0
 						continue
 					case fluid.Inlet:
-						s.nVx.Set(x, y, z, p.InletVx)
-						s.nVy.Set(x, y, z, p.InletVy)
-						s.nVz.Set(x, y, z, p.InletVz)
+						nvx[j], nvy[j], nvz[j] = p.InletVx, p.InletVy, p.InletVz
 						continue
 					case fluid.Outlet:
-						s.nVx.Set(x, y, z, s.Vx.At(x, y, z))
-						s.nVy.Set(x, y, z, s.Vy.At(x, y, z))
-						s.nVz.Set(x, y, z, s.Vz.At(x, y, z))
+						nvx[j], nvy[j], nvz[j] = vxs[j], vys[j], vzs[j]
 						continue
 					}
 				}
-				vx, vy, vz := s.Vx.At(x, y, z), s.Vy.At(x, y, z), s.Vz.At(x, y, z)
-				rho := s.Rho.At(x, y, z)
+				vx, vy, vz := vxs[j], vys[j], vzs[j]
+				rho := rhos[j]
 
-				gxx := 0.5 * (s.Vx.At(x+1, y, z) - s.Vx.At(x-1, y, z))
-				gxy := 0.5 * (s.Vx.At(x, y+1, z) - s.Vx.At(x, y-1, z))
-				gxz := 0.5 * (s.Vx.At(x, y, z+1) - s.Vx.At(x, y, z-1))
-				gyx := 0.5 * (s.Vy.At(x+1, y, z) - s.Vy.At(x-1, y, z))
-				gyy := 0.5 * (s.Vy.At(x, y+1, z) - s.Vy.At(x, y-1, z))
-				gyz := 0.5 * (s.Vy.At(x, y, z+1) - s.Vy.At(x, y, z-1))
-				gzx := 0.5 * (s.Vz.At(x+1, y, z) - s.Vz.At(x-1, y, z))
-				gzy := 0.5 * (s.Vz.At(x, y+1, z) - s.Vz.At(x, y-1, z))
-				gzz := 0.5 * (s.Vz.At(x, y, z+1) - s.Vz.At(x, y, z-1))
-				rx := 0.5 * (s.Rho.At(x+1, y, z) - s.Rho.At(x-1, y, z))
-				ry := 0.5 * (s.Rho.At(x, y+1, z) - s.Rho.At(x, y-1, z))
-				rz := 0.5 * (s.Rho.At(x, y, z+1) - s.Rho.At(x, y, z-1))
-				lapVx := s.Vx.At(x+1, y, z) + s.Vx.At(x-1, y, z) +
-					s.Vx.At(x, y+1, z) + s.Vx.At(x, y-1, z) +
-					s.Vx.At(x, y, z+1) + s.Vx.At(x, y, z-1) - 6*s.Vx.At(x, y, z)
-				lapVy := s.Vy.At(x+1, y, z) + s.Vy.At(x-1, y, z) +
-					s.Vy.At(x, y+1, z) + s.Vy.At(x, y-1, z) +
-					s.Vy.At(x, y, z+1) + s.Vy.At(x, y, z-1) - 6*s.Vy.At(x, y, z)
-				lapVz := s.Vz.At(x+1, y, z) + s.Vz.At(x-1, y, z) +
-					s.Vz.At(x, y+1, z) + s.Vz.At(x, y-1, z) +
-					s.Vz.At(x, y, z+1) + s.Vz.At(x, y, z-1) - 6*s.Vz.At(x, y, z)
+				gxx := 0.5 * (vxs[j+1] - vxs[j-1])
+				gxy := 0.5 * (vxs[j+sx] - vxs[j-sx])
+				gxz := 0.5 * (vxs[j+sxy] - vxs[j-sxy])
+				gyx := 0.5 * (vys[j+1] - vys[j-1])
+				gyy := 0.5 * (vys[j+sx] - vys[j-sx])
+				gyz := 0.5 * (vys[j+sxy] - vys[j-sxy])
+				gzx := 0.5 * (vzs[j+1] - vzs[j-1])
+				gzy := 0.5 * (vzs[j+sx] - vzs[j-sx])
+				gzz := 0.5 * (vzs[j+sxy] - vzs[j-sxy])
+				rx := 0.5 * (rhos[j+1] - rhos[j-1])
+				ry := 0.5 * (rhos[j+sx] - rhos[j-sx])
+				rz := 0.5 * (rhos[j+sxy] - rhos[j-sxy])
+				lapVx := vxs[j+1] + vxs[j-1] + vxs[j+sx] + vxs[j-sx] + vxs[j+sxy] + vxs[j-sxy] - float64(6*vx)
+				lapVy := vys[j+1] + vys[j-1] + vys[j+sx] + vys[j-sx] + vys[j+sxy] + vys[j-sxy] - float64(6*vy)
+				lapVz := vzs[j+1] + vzs[j-1] + vzs[j+sx] + vzs[j-sx] + vzs[j+sxy] + vzs[j-sxy] - float64(6*vz)
 
-				s.nVx.Set(x, y, z, vx+dt*(-(vx*gxx+vy*gxy+vz*gxz)-cs2/rho*rx+nu*lapVx+p.ForceX))
-				s.nVy.Set(x, y, z, vy+dt*(-(vx*gyx+vy*gyy+vz*gyz)-cs2/rho*ry+nu*lapVy+p.ForceY))
-				s.nVz.Set(x, y, z, vz+dt*(-(vx*gzx+vy*gzy+vz*gzz)-cs2/rho*rz+nu*lapVz+p.ForceZ))
+				advX := float64(vx*gxx) + float64(vy*gxy) + float64(vz*gxz)
+				advY := float64(vx*gyx) + float64(vy*gyy) + float64(vz*gyz)
+				advZ := float64(vx*gzx) + float64(vy*gzy) + float64(vz*gzz)
+				nvx[j] = vx + float64(dt*(-advX-float64(cs2/rho*rx)+float64(nu*lapVx)+p.ForceX))
+				nvy[j] = vy + float64(dt*(-advY-float64(cs2/rho*ry)+float64(nu*lapVy)+p.ForceY))
+				nvz[j] = vz + float64(dt*(-advZ-float64(cs2/rho*rz)+float64(nu*lapVz)+p.ForceZ))
 			}
 		}
 	}
@@ -204,30 +202,36 @@ func (s *Solver3D) computeDensity() {
 	s.Rho.Swap(s.nRho)
 }
 
-// densityPlanes updates the density of z-planes [z0, z1).
+// densityPlanes updates the density of z-planes [z0, z1), indexing the
+// flat storage from one base per row (see velocityPlanes).
 func (s *Solver3D) densityPlanes(z0, z1 int) {
 	p := s.Par
 	dt := p.Dt
+	vxs, vys, vzs, rhos, nrho := s.Vx.Data(), s.Vy.Data(), s.Vz.Data(), s.Rho.Data(), s.nRho.Data()
 	nx, ny := s.Rho.NX, s.Rho.NY
+	sx, sxy := s.Rho.StrideX(), s.Rho.StrideXY()
 	for z := z0; z < z1; z++ {
 		for y := 0; y < ny; y++ {
 			open := s.rowOpen[z*ny+y]
 			row := (z*ny + y) * nx
-			for x := 0; x < nx; x++ {
+			cells := s.cells[row : row+nx]
+			b := s.Rho.Idx(0, y, z)
+			for x, c := range cells {
+				j := b + x
 				if !open {
-					switch s.cells[row+x] {
+					switch c {
 					case fluid.Inlet:
-						s.nRho.Set(x, y, z, p.InletRho)
+						nrho[j] = p.InletRho
 						continue
 					case fluid.Outlet:
-						s.nRho.Set(x, y, z, p.OutletRho)
+						nrho[j] = p.OutletRho
 						continue
 					}
 				}
-				dFx := 0.5 * (s.Rho.At(x+1, y, z)*s.Vx.At(x+1, y, z) - s.Rho.At(x-1, y, z)*s.Vx.At(x-1, y, z))
-				dFy := 0.5 * (s.Rho.At(x, y+1, z)*s.Vy.At(x, y+1, z) - s.Rho.At(x, y-1, z)*s.Vy.At(x, y-1, z))
-				dFz := 0.5 * (s.Rho.At(x, y, z+1)*s.Vz.At(x, y, z+1) - s.Rho.At(x, y, z-1)*s.Vz.At(x, y, z-1))
-				s.nRho.Set(x, y, z, s.Rho.At(x, y, z)-dt*(dFx+dFy+dFz))
+				dFx := float64(0.5 * (float64(rhos[j+1]*vxs[j+1]) - float64(rhos[j-1]*vxs[j-1])))
+				dFy := float64(0.5 * (float64(rhos[j+sx]*vys[j+sx]) - float64(rhos[j-sx]*vys[j-sx])))
+				dFz := float64(0.5 * (float64(rhos[j+sxy]*vzs[j+sxy]) - float64(rhos[j-sxy]*vzs[j-sxy])))
+				nrho[j] = rhos[j] - float64(dt*(dFx+dFy+dFz))
 			}
 		}
 	}

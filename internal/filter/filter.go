@@ -75,15 +75,14 @@ func Apply2D(fields []*grid.Field2D, eps float64, mask func(x, y int) fluid.Cell
 					scratch[y*nx+x] = 0
 					continue
 				}
-				d4x := f.At(x-2, y) - 4*f.At(x-1, y) + 6*f.At(x, y) - 4*f.At(x+1, y) + f.At(x+2, y)
-				d4y := f.At(x, y-2) - 4*f.At(x, y-1) + 6*f.At(x, y) - 4*f.At(x, y+1) + f.At(x, y+2)
-				scratch[y*nx+x] = d4x + d4y
+				scratch[y*nx+x] = d4(f.At(x-2, y), f.At(x-1, y), f.At(x, y), f.At(x+1, y), f.At(x+2, y)) +
+					d4(f.At(x, y-2), f.At(x, y-1), f.At(x, y), f.At(x, y+1), f.At(x, y+2))
 			}
 		}
 		for y := 0; y < ny; y++ {
 			for x := 0; x < nx; x++ {
 				if c := scratch[y*nx+x]; c != 0 {
-					f.Add(x, y, -eps*c)
+					f.Add(x, y, float64(-eps*c))
 				}
 			}
 		}
@@ -126,10 +125,9 @@ func Apply3D(fields []*grid.Field3D, eps float64, mask func(x, y, z int) fluid.C
 						scratch[i] = 0
 						continue
 					}
-					d4x := f.At(x-2, y, z) - 4*f.At(x-1, y, z) + 6*f.At(x, y, z) - 4*f.At(x+1, y, z) + f.At(x+2, y, z)
-					d4y := f.At(x, y-2, z) - 4*f.At(x, y-1, z) + 6*f.At(x, y, z) - 4*f.At(x, y+1, z) + f.At(x, y+2, z)
-					d4z := f.At(x, y, z-2) - 4*f.At(x, y, z-1) + 6*f.At(x, y, z) - 4*f.At(x, y, z+1) + f.At(x, y, z+2)
-					scratch[i] = d4x + d4y + d4z
+					scratch[i] = d4(f.At(x-2, y, z), f.At(x-1, y, z), f.At(x, y, z), f.At(x+1, y, z), f.At(x+2, y, z)) +
+						d4(f.At(x, y-2, z), f.At(x, y-1, z), f.At(x, y, z), f.At(x, y+1, z), f.At(x, y+2, z)) +
+						d4(f.At(x, y, z-2), f.At(x, y, z-1), f.At(x, y, z), f.At(x, y, z+1), f.At(x, y, z+2))
 				}
 			}
 		}
@@ -137,7 +135,7 @@ func Apply3D(fields []*grid.Field3D, eps float64, mask func(x, y, z int) fluid.C
 			for y := 0; y < ny; y++ {
 				for x := 0; x < nx; x++ {
 					if c := scratch[(z*ny+y)*nx+x]; c != 0 {
-						f.Set(x, y, z, f.At(x, y, z)-eps*c)
+						f.Set(x, y, z, f.At(x, y, z)-float64(eps*c))
 					}
 				}
 			}

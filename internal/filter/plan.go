@@ -52,31 +52,53 @@ func NewPlan2D(nx, ny int, mask func(x, y int) fluid.CellType) *Plan2D {
 
 // correctRows computes the fourth-difference correction of rows
 // [y0, y1) into scratch; nodes outside the stencil's reach get zero.
+// Each row takes its base index into the field's storage once and reads
+// the stencil through views of the five rows it spans.
 func (p *Plan2D) correctRows(y0, y1 int) {
-	f, nx := p.f, p.nx
+	f, sx, nx := p.f.Data(), p.f.Stride(), p.nx
 	for y := y0; y < y1; y++ {
 		row := p.scratch[y*nx : (y+1)*nx]
 		okRow := p.ok[y*nx : (y+1)*nx]
+		if y < 2 || y >= p.ny-2 {
+			// No node of the row has the full stencil (Applicable2D),
+			// and the stencil rows below would leave the storage.
+			clear(row)
+			continue
+		}
+		n := len(row)
+		// Views of the five stencil rows, aligned so index x is the
+		// node's column; the centre row is widened by 2 on each side.
+		b := p.f.Idx(0, y)
+		c := f[b-2:][:n+4]
+		s2, s1 := f[b-2*sx:][:n], f[b-sx:][:n]
+		n1, n2 := f[b+sx:][:n], f[b+2*sx:][:n]
 		for x := range row {
 			if !okRow[x] {
 				row[x] = 0
 				continue
 			}
-			d4x := f.At(x-2, y) - 4*f.At(x-1, y) + 6*f.At(x, y) - 4*f.At(x+1, y) + f.At(x+2, y)
-			d4y := f.At(x, y-2) - 4*f.At(x, y-1) + 6*f.At(x, y) - 4*f.At(x, y+1) + f.At(x, y+2)
-			row[x] = d4x + d4y
+			row[x] = d4(c[x], c[x+1], c[x+2], c[x+3], c[x+4]) +
+				d4(s2[x], s1[x], c[x+2], n1[x], n2[x])
 		}
 	}
 }
 
+// d4 is the fourth difference a - 4b + 6c - 4d + e, evaluated left to
+// right; every product that feeds a sum is rounded on its own (an
+// explicit float64 conversion forbids fusing it into a multiply-add).
+func d4(a, b, c, d, e float64) float64 {
+	return a - float64(4*b) + float64(6*c) - float64(4*d) + e
+}
+
 // updateRows applies the stored corrections to rows [y0, y1).
 func (p *Plan2D) updateRows(y0, y1 int) {
-	f, nx, eps := p.f, p.nx, p.eps
+	f, nx, eps := p.f.Data(), p.nx, p.eps
 	for y := y0; y < y1; y++ {
 		row := p.scratch[y*nx : (y+1)*nx]
+		b := p.f.Idx(0, y)
 		for x, c := range row {
 			if c != 0 {
-				f.Add(x, y, -eps*c)
+				f[b+x] += float64(-eps * c)
 			}
 		}
 	}
@@ -132,23 +154,35 @@ func NewPlan3D(nx, ny, nz int, mask func(x, y, z int) fluid.CellType) *Plan3D {
 	return p
 }
 
-// correctPlanes computes corrections for z-planes [z0, z1) into scratch.
+// correctPlanes computes corrections for z-planes [z0, z1) into scratch
+// from views of the seven stencil rows of each row (see correctRows).
 func (p *Plan3D) correctPlanes(z0, z1 int) {
-	f, nx, ny := p.f, p.nx, p.ny
+	f, sx, sxy := p.f.Data(), p.f.StrideX(), p.f.StrideXY()
+	nx, ny, nz := p.nx, p.ny, p.nz
 	for z := z0; z < z1; z++ {
 		for y := 0; y < ny; y++ {
 			base := (z*ny + y) * nx
 			row := p.scratch[base : base+nx]
 			okRow := p.ok[base : base+nx]
+			if y < 2 || y >= ny-2 || z < 2 || z >= nz-2 {
+				clear(row) // outside the stencil's reach (see correctRows)
+				continue
+			}
+			n := len(row)
+			b := p.f.Idx(0, y, z)
+			c := f[b-2:][:n+4]
+			s2, s1 := f[b-2*sx:][:n], f[b-sx:][:n]
+			n1, n2 := f[b+sx:][:n], f[b+2*sx:][:n]
+			d2, d1 := f[b-2*sxy:][:n], f[b-sxy:][:n]
+			u1, u2 := f[b+sxy:][:n], f[b+2*sxy:][:n]
 			for x := range row {
 				if !okRow[x] {
 					row[x] = 0
 					continue
 				}
-				d4x := f.At(x-2, y, z) - 4*f.At(x-1, y, z) + 6*f.At(x, y, z) - 4*f.At(x+1, y, z) + f.At(x+2, y, z)
-				d4y := f.At(x, y-2, z) - 4*f.At(x, y-1, z) + 6*f.At(x, y, z) - 4*f.At(x, y+1, z) + f.At(x, y+2, z)
-				d4z := f.At(x, y, z-2) - 4*f.At(x, y, z-1) + 6*f.At(x, y, z) - 4*f.At(x, y, z+1) + f.At(x, y, z+2)
-				row[x] = d4x + d4y + d4z
+				row[x] = d4(c[x], c[x+1], c[x+2], c[x+3], c[x+4]) +
+					d4(s2[x], s1[x], c[x+2], n1[x], n2[x]) +
+					d4(d2[x], d1[x], c[x+2], u1[x], u2[x])
 			}
 		}
 	}
@@ -156,14 +190,15 @@ func (p *Plan3D) correctPlanes(z0, z1 int) {
 
 // updatePlanes applies stored corrections to z-planes [z0, z1).
 func (p *Plan3D) updatePlanes(z0, z1 int) {
-	f, nx, ny, eps := p.f, p.nx, p.ny, p.eps
+	f, nx, ny, eps := p.f.Data(), p.nx, p.ny, p.eps
 	for z := z0; z < z1; z++ {
 		for y := 0; y < ny; y++ {
 			base := (z*ny + y) * nx
 			row := p.scratch[base : base+nx]
+			b := p.f.Idx(0, y, z)
 			for x, c := range row {
 				if c != 0 {
-					f.Set(x, y, z, f.At(x, y, z)-eps*c)
+					f[b+x] -= float64(eps * c)
 				}
 			}
 		}

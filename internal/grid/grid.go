@@ -9,11 +9,18 @@
 // the interior update never needs to know whether it runs serially or as one
 // subregion of a distributed computation (section 4.2 of the paper).
 //
-// Storage is a single flat slice in row-major order. The slice length is
-// kept away from near-multiples of 4096 bytes per appendix E of the paper,
-// which reports a 2x slowdown on HP9000/700 hardware when array lengths land
-// near the virtual-memory page size; AvoidPageResonance reproduces the
-// paper's fix of lengthening such arrays by a few hundred bytes.
+// Storage is a single flat slice in row-major order. The solvers' hot
+// loops index it directly: each row (or z-plane row) takes its base index
+// from Idx once and the inner loop walks Data() with constant offsets
+// (+-1 along x, +-Stride along y, +-StrideXY along z). The per-node At,
+// Set and Add recompute the full index on every call and are for cold
+// paths only: initialization, boundary setup, diagnostics and tests.
+//
+// The slice length is kept away from near-multiples of 4096 bytes per
+// appendix E of the paper, which reports a 2x slowdown on HP9000/700
+// hardware when array lengths land near the virtual-memory page size;
+// AvoidPageResonance reproduces the paper's fix of lengthening such arrays
+// by a few hundred bytes.
 package grid
 
 import (
@@ -77,20 +84,22 @@ func NewField2D(nx, ny, h int) *Field2D {
 func (f *Field2D) Stride() int { return f.sx }
 
 // Data exposes the raw storage including ghost nodes. Index with
-// (y+H)*Stride() + (x+H). Intended for the solvers' inner loops.
+// (y+H)*Stride() + (x+H), or from a row base Idx(0, y). Intended for the
+// solvers' inner loops.
 func (f *Field2D) Data() []float64 { return f.data }
 
 // Idx returns the flat index of interior node (x, y). Ghost nodes are
 // reached with x in [-H, NX+H) and y in [-H, NY+H).
 func (f *Field2D) Idx(x, y int) int { return (y+f.H)*f.sx + (x + f.H) }
 
-// At returns the value at node (x, y); ghost offsets are legal.
+// At returns the value at node (x, y); ghost offsets are legal. Cold
+// paths only: hot loops index Data() from a row base.
 func (f *Field2D) At(x, y int) float64 { return f.data[f.Idx(x, y)] }
 
-// Set stores v at node (x, y); ghost offsets are legal.
+// Set stores v at node (x, y); ghost offsets are legal. Cold paths only.
 func (f *Field2D) Set(x, y int, v float64) { f.data[f.Idx(x, y)] = v }
 
-// Add adds v to node (x, y).
+// Add adds v to node (x, y). Cold paths only.
 func (f *Field2D) Add(x, y int, v float64) { f.data[f.Idx(x, y)] += v }
 
 // Fill sets every node, ghosts included, to v.
@@ -213,13 +222,14 @@ func (f *Field3D) Idx(x, y, z int) int {
 	return (z+f.H)*f.sxy + (y+f.H)*f.sx + (x + f.H)
 }
 
-// At returns the value at node (x, y, z).
+// At returns the value at node (x, y, z). Cold paths only (see At on
+// Field2D).
 func (f *Field3D) At(x, y, z int) float64 { return f.data[f.Idx(x, y, z)] }
 
-// Set stores v at node (x, y, z).
+// Set stores v at node (x, y, z). Cold paths only.
 func (f *Field3D) Set(x, y, z int, v float64) { f.data[f.Idx(x, y, z)] = v }
 
-// Add adds v to node (x, y, z).
+// Add adds v to node (x, y, z). Cold paths only.
 func (f *Field3D) Add(x, y, z int, v float64) { f.data[f.Idx(x, y, z)] += v }
 
 // Fill sets every node, ghosts included, to v.

@@ -27,7 +27,20 @@
 // additionally cut into row slabs updated concurrently by the shared
 // worker pool when Workers > 1; writes are disjoint by row and no node's
 // arithmetic changes, so the fields stay bit-identical to the serial
-// sweep at any worker count (see internal/pool).
+// sweep at any worker count (see internal/pool). Relax, shift and the
+// macroscopic update are one pool run, so one barrier, each: the shift
+// streams all populations in a single row-slab pass rather than one pass
+// per population.
+//
+// The hot loops follow the kernel rules of DESIGN.md: each row takes its
+// base index into the fields' flat storage once, and the population loops
+// of relax and macroscopics are unrolled with literal lattice constants,
+// every term kept in the table-driven order, so the compiler applies only
+// IEEE-exact folds (x*1 -> x, x*-1 -> -x) and the fields stay
+// bit-identical to the table-driven formulas. Products that feed a sum are
+// wrapped in explicit float64 conversions, which the Go spec forbids
+// fusing into a multiply-add, so the kernels round identically on every
+// GOARCH.
 package lbm
 
 import (
@@ -73,7 +86,7 @@ var outgoing2 = map[decomp.Dir][]int{
 func NuFromTau(tau float64) float64 { return (tau - 0.5) / 3 }
 
 // TauFromNu is the inverse of NuFromTau.
-func TauFromNu(nu float64) float64 { return 3*nu + 0.5 }
+func TauFromNu(nu float64) float64 { return float64(3*nu) + 0.5 }
 
 // Solver2D integrates one subregion with the D2Q9 lattice Boltzmann method.
 type Solver2D struct {
@@ -101,13 +114,11 @@ type Solver2D struct {
 	plan    *filter.Plan2D
 
 	// Parallel-kernel machinery: the pool runner, the prebuilt range
-	// closures (built once so the steady-state step allocates nothing),
-	// the population being shifted, and the reused exchange buffer.
+	// closures (built once so the steady-state step allocates nothing)
+	// and the reused exchange buffer.
 	par                       pool.Runner
 	relaxFn, shiftFn, macroFn func(lo, hi int)
 	runFn                     filter.RunFunc
-	shiftSrc, shiftDst        *grid.Field2D
-	shiftDx, shiftDy          int
 	xbuf                      []float64
 
 	// Filter field list built once at construction so the steady-state
@@ -198,15 +209,28 @@ func (s *Solver2D) InitEquilibrium() {
 
 // feq2 is the D2Q9 BGK equilibrium distribution.
 func feq2(i int, rho, vx, vy float64) float64 {
-	return feq2v(i, rho, vx, vy, vx*vx+vy*vy)
+	return feq2v(i, rho, vx, vy, float64(vx*vx)+float64(vy*vy))
 }
 
-// feq2v is feq2 with the speed-squared hoisted: the relax kernel computes
-// v2 once per node instead of once per population. The expression is
-// identical, so the hoisting is bit-exact.
+// feq2v is feq2 with the speed-squared hoisted. It is the table-driven
+// form of the equilibrium, for the cold paths (initialization, inlet and
+// outlet nodes); the relax kernel unrolls the same expression.
 func feq2v(i int, rho, vx, vy, v2 float64) float64 {
-	cu := float64(cx2[i])*vx + float64(cy2[i])*vy
-	return w2[i] * rho * (1 + 3*cu + 4.5*cu*cu - 1.5*v2)
+	cu := float64(float64(cx2[i])*vx) + float64(float64(cy2[i])*vy)
+	return feqw(w2[i]*rho, cu, float64(1.5*v2))
+}
+
+// feqw is the BGK equilibrium w rho (1 + 3 cu + 4.5 cu^2 - 1.5 v^2) of
+// one population, with the weight already applied (wr = w*rho) and the
+// speed term already scaled (u = 1.5*v^2): both are shared by several
+// populations and computing them once is bit-exact. cu is c_i . v.
+func feqw(wr, cu, u float64) float64 {
+	return float64(wr * (1 + float64(3*cu) + float64(4.5*cu*cu) - u))
+}
+
+// bgk relaxes population f toward its equilibrium feq.
+func bgk(f, feq, invTau float64) float64 {
+	return f + float64((feq-f)*invTau)
 }
 
 // Phases returns the number of compute phases per step: relax+shift (with
@@ -244,50 +268,77 @@ func (s *Solver2D) relaxRows(y0, y1 int) {
 	p := s.Par
 	invTau := 1 / s.Tau
 	forced := p.ForceX != 0 || p.ForceY != 0
+	// Per-call constants: the inlet equilibrium, and the forcing term
+	// 3 w_i (c_i . g) split as (3 w_i, c_i . g) around the per-node rho.
+	var inlet, kw, cg [Q2]float64
+	for i := 0; i < Q2; i++ {
+		inlet[i] = feq2(i, p.InletRho, p.InletVx, p.InletVy)
+		kw[i] = 3 * w2[i]
+		cg[i] = float64(float64(cx2[i])*p.ForceX) + float64(float64(cy2[i])*p.ForceY)
+	}
 	nx := s.Rho.NX
 	for y := y0; y < y1; y++ {
 		open := s.rowOpen[y]
-		for x := 0; x < nx; x++ {
+		cells := s.cells[y*nx : (y+1)*nx]
+		// Row views of every field: one base index per row, and equal
+		// lengths let the compiler drop the per-node bounds checks.
+		b, n := s.Rho.Idx(0, y), len(cells)
+		f0, f1, f2 := s.F[0].Data()[b:][:n], s.F[1].Data()[b:][:n], s.F[2].Data()[b:][:n]
+		f3, f4, f5 := s.F[3].Data()[b:][:n], s.F[4].Data()[b:][:n], s.F[5].Data()[b:][:n]
+		f6, f7, f8 := s.F[6].Data()[b:][:n], s.F[7].Data()[b:][:n], s.F[8].Data()[b:][:n]
+		rhos, vxs, vys := s.Rho.Data()[b:][:n], s.Vx.Data()[b:][:n], s.Vy.Data()[b:][:n]
+		for j, c := range cells {
 			if !open {
-				switch s.cells[y*nx+x] {
+				switch c {
 				case fluid.Wall:
 					// Full-way bounce-back: reflect the populations that
 					// streamed into the wall during the previous step.
-					for i := 1; i < Q2; i++ {
-						if j := opp2[i]; j > i {
-							a, b := s.F[i].At(x, y), s.F[j].At(x, y)
-							s.F[i].Set(x, y, b)
-							s.F[j].Set(x, y, a)
-						}
-					}
+					f1[j], f3[j] = f3[j], f1[j]
+					f2[j], f4[j] = f4[j], f2[j]
+					f5[j], f7[j] = f7[j], f5[j]
+					f6[j], f8[j] = f8[j], f6[j]
 					continue
 				case fluid.Inlet:
-					for i := 0; i < Q2; i++ {
-						s.F[i].Set(x, y, feq2(i, p.InletRho, p.InletVx, p.InletVy))
+					for i := range s.F {
+						s.F[i].Data()[b+j] = inlet[i]
 					}
 					continue
 				case fluid.Outlet:
 					// Prescribed density, local velocity: anchors the mean
 					// pressure while letting flow leave.
-					vx, vy := s.Vx.At(x, y), s.Vy.At(x, y)
-					for i := 0; i < Q2; i++ {
-						s.F[i].Set(x, y, feq2(i, p.OutletRho, vx, vy))
+					vx, vy := vxs[j], vys[j]
+					for i := range s.F {
+						s.F[i].Data()[b+j] = feq2(i, p.OutletRho, vx, vy)
 					}
 					continue
 				}
 			}
-			rho, vx, vy := s.Rho.At(x, y), s.Vx.At(x, y), s.Vy.At(x, y)
-			v2 := vx*vx + vy*vy
-			for i := 0; i < Q2; i++ {
-				f := s.F[i].At(x, y)
-				s.F[i].Set(x, y, f+(feq2v(i, rho, vx, vy, v2)-f)*invTau)
-			}
+			rho, vx, vy := rhos[j], vxs[j], vys[j]
+			u := float64(1.5 * (float64(vx*vx) + float64(vy*vy)))
+			w0, w1, w5 := 4.0/9*rho, 1.0/9*rho, 1.0/36*rho
+			r0 := bgk(f0[j], feqw(w0, float64(0*vx)+float64(0*vy), u), invTau)
+			r1 := bgk(f1[j], feqw(w1, float64(1*vx)+float64(0*vy), u), invTau)
+			r2 := bgk(f2[j], feqw(w1, float64(0*vx)+float64(1*vy), u), invTau)
+			r3 := bgk(f3[j], feqw(w1, float64(-1*vx)+float64(0*vy), u), invTau)
+			r4 := bgk(f4[j], feqw(w1, float64(0*vx)+float64(-1*vy), u), invTau)
+			r5 := bgk(f5[j], feqw(w5, float64(1*vx)+float64(1*vy), u), invTau)
+			r6 := bgk(f6[j], feqw(w5, float64(-1*vx)+float64(1*vy), u), invTau)
+			r7 := bgk(f7[j], feqw(w5, float64(-1*vx)+float64(-1*vy), u), invTau)
+			r8 := bgk(f8[j], feqw(w5, float64(1*vx)+float64(-1*vy), u), invTau)
+			// The force joins before the single store per population:
+			// adding it to a value just stored would reload it.
 			if forced {
-				for i := 1; i < Q2; i++ {
-					cg := float64(cx2[i])*p.ForceX + float64(cy2[i])*p.ForceY
-					s.F[i].Add(x, y, 3*w2[i]*rho*cg)
-				}
+				r1 += float64(kw[1] * rho * cg[1])
+				r2 += float64(kw[2] * rho * cg[2])
+				r3 += float64(kw[3] * rho * cg[3])
+				r4 += float64(kw[4] * rho * cg[4])
+				r5 += float64(kw[5] * rho * cg[5])
+				r6 += float64(kw[6] * rho * cg[6])
+				r7 += float64(kw[7] * rho * cg[7])
+				r8 += float64(kw[8] * rho * cg[8])
 			}
+			f0[j], f1[j], f2[j], f3[j], f4[j] = r0, r1, r2, r3, r4
+			f5[j], f6[j], f7[j], f8[j] = r5, r6, r7, r8
 		}
 	}
 }
@@ -298,56 +349,51 @@ func (s *Solver2D) relaxRows(y0, y1 int) {
 // subregions. Interior edge values computed from stale ghosts are
 // overwritten by the incoming exchange data.
 //
-// The row sweep (interior rows plus the ghost-column targets at the same
-// y) runs on the pool; the ghost-row strip and corner are finished
-// serially — they are O(nx) of the O(nx*ny) population.
+// One pool run streams every population's rows (interior rows plus the
+// ghost-column target at the same y), so the phase pays one barrier; the
+// ghost-row strips and corners are finished serially — they are O(nx) of
+// the O(nx*ny) population.
 func (s *Solver2D) shift() {
-	nx, ny := s.Rho.NX, s.Rho.NY
+	s.run(s.Rho.NY, s.shiftFn)
 	for i := 0; i < Q2; i++ {
-		dx, dy := cx2[i], cy2[i]
-		src, dst := s.F[i], s.nF[i]
-		s.shiftSrc, s.shiftDst, s.shiftDx, s.shiftDy = src, dst, dx, dy
-		s.run(ny, s.shiftFn)
-		if dx != 0 || dy != 0 {
-			gx := -1
-			if dx > 0 {
-				gx = nx
-			}
+		if dy := cy2[i]; dy != 0 {
 			gy := -1
 			if dy > 0 {
-				gy = ny
+				gy = s.Rho.NY
 			}
-			if dy != 0 {
-				for x := 0; x < nx; x++ {
-					dst.Set(x, gy, src.At(x-dx, gy-dy))
-				}
-				if dx != 0 {
-					dst.Set(gx, gy, src.At(gx-dx, gy-dy))
-				}
-			}
+			shiftRow2(s.F[i], s.nF[i], cx2[i], dy, gy)
 		}
-		src.Swap(dst)
+	}
+	for i := 0; i < Q2; i++ {
+		s.F[i].Swap(s.nF[i])
 	}
 }
 
-// shiftRows streams the current population into dst rows [y0, y1),
-// including the ghost-column target of each row when the population has
-// an x component. Writes land only in rows [y0, y1) of dst.
+// shiftRows streams every population into its post-shift buffer on rows
+// [y0, y1). Writes land only in rows [y0, y1) of the buffers.
 func (s *Solver2D) shiftRows(y0, y1 int) {
-	nx := s.Rho.NX
-	src, dst, dx, dy := s.shiftSrc, s.shiftDst, s.shiftDx, s.shiftDy
-	for y := y0; y < y1; y++ {
-		for x := 0; x < nx; x++ {
-			dst.Set(x, y, src.At(x-dx, y-dy))
-		}
-		if dx != 0 {
-			gx := -1
-			if dx > 0 {
-				gx = nx
-			}
-			dst.Set(gx, y, src.At(gx-dx, y-dy))
+	for i := 0; i < Q2; i++ {
+		src, dst, dx, dy := s.F[i], s.nF[i], cx2[i], cy2[i]
+		for y := y0; y < y1; y++ {
+			shiftRow2(src, dst, dx, dy, y)
 		}
 	}
+}
+
+// shiftRow2 fills row y of dst from the upwind row of src, dst(x, y) =
+// src(x-dx, y-dy), as one copy: the interior x in [0, nx) plus, for a
+// population with an x component, the ghost-column target on its
+// downwind side.
+func shiftRow2(src, dst *grid.Field2D, dx, dy, y int) {
+	x0, n := 0, src.NX
+	if dx != 0 {
+		n++
+		if dx < 0 {
+			x0 = -1
+		}
+	}
+	d, o := dst.Idx(x0, y), src.Idx(x0-dx, y-dy)
+	copy(dst.Data()[d:d+n], src.Data()[o:o+n])
 }
 
 // macroscopics recomputes rho, Vx, Vy from the populations at interior
@@ -355,28 +401,30 @@ func (s *Solver2D) shiftRows(y0, y1 int) {
 // bounce-back transit and carry no fluid state.
 func (s *Solver2D) macroscopics() { s.run(s.Rho.NY, s.macroFn) }
 
-// macroRows recomputes the fluid variables on rows [y0, y1).
+// macroRows recomputes the fluid variables on rows [y0, y1): the
+// population sums of rho and momentum, unrolled in population order.
 func (s *Solver2D) macroRows(y0, y1 int) {
 	nx := s.Rho.NX
 	for y := y0; y < y1; y++ {
 		open := s.rowOpen[y]
-		for x := 0; x < nx; x++ {
-			if !open && s.cells[y*nx+x] == fluid.Wall {
-				s.Rho.Set(x, y, s.Par.Rho0)
-				s.Vx.Set(x, y, 0)
-				s.Vy.Set(x, y, 0)
+		cells := s.cells[y*nx : (y+1)*nx]
+		b, n := s.Rho.Idx(0, y), len(cells)
+		f0, f1, f2 := s.F[0].Data()[b:][:n], s.F[1].Data()[b:][:n], s.F[2].Data()[b:][:n]
+		f3, f4, f5 := s.F[3].Data()[b:][:n], s.F[4].Data()[b:][:n], s.F[5].Data()[b:][:n]
+		f6, f7, f8 := s.F[6].Data()[b:][:n], s.F[7].Data()[b:][:n], s.F[8].Data()[b:][:n]
+		rhos, vxs, vys := s.Rho.Data()[b:][:n], s.Vx.Data()[b:][:n], s.Vy.Data()[b:][:n]
+		for j, c := range cells {
+			if !open && c == fluid.Wall {
+				rhos[j], vxs[j], vys[j] = s.Par.Rho0, 0, 0
 				continue
 			}
-			rho, mx, my := 0.0, 0.0, 0.0
-			for i := 0; i < Q2; i++ {
-				f := s.F[i].At(x, y)
-				rho += f
-				mx += f * float64(cx2[i])
-				my += f * float64(cy2[i])
-			}
-			s.Rho.Set(x, y, rho)
-			s.Vx.Set(x, y, mx/rho)
-			s.Vy.Set(x, y, my/rho)
+			a0, a1, a2, a3, a4, a5, a6, a7, a8 := f0[j], f1[j], f2[j], f3[j], f4[j], f5[j], f6[j], f7[j], f8[j]
+			rho := 0 + a0 + a1 + a2 + a3 + a4 + a5 + a6 + a7 + a8
+			mx := 0 + float64(a0*0) + float64(a1*1) + float64(a2*0) + float64(a3*-1) +
+				float64(a4*0) + float64(a5*1) + float64(a6*-1) + float64(a7*-1) + float64(a8*1)
+			my := 0 + float64(a0*0) + float64(a1*0) + float64(a2*1) + float64(a3*0) +
+				float64(a4*-1) + float64(a5*1) + float64(a6*1) + float64(a7*-1) + float64(a8*-1)
+			rhos[j], vxs[j], vys[j] = rho, mx/rho, my/rho
 		}
 	}
 }
@@ -498,5 +546,5 @@ func (s *Solver2D) selfExchange(periodicX, periodicY bool) {
 // Vorticity computes the curl at interior node (x, y) by centered
 // differences of the fluid velocity.
 func (s *Solver2D) Vorticity(x, y int) float64 {
-	return 0.5*(s.Vy.At(x+1, y)-s.Vy.At(x-1, y)) - 0.5*(s.Vx.At(x, y+1)-s.Vx.At(x, y-1))
+	return float64(0.5*(s.Vy.At(x+1, y)-s.Vy.At(x-1, y))) - float64(0.5*(s.Vx.At(x, y+1)-s.Vx.At(x, y-1)))
 }

@@ -53,8 +53,10 @@ func init() {
 // 3D lattices pay one message per face per step.
 //
 // When Workers > 1 the inner phases are cut into z-plane slabs on the
-// shared pool; writes are disjoint by plane and per-node arithmetic is
-// unchanged, so fields stay bit-identical to the serial sweep.
+// shared pool, one pool run (one barrier) per kernel, the shift of all
+// fifteen populations included; writes are disjoint by plane and per-node
+// arithmetic is unchanged, so fields stay bit-identical to the serial
+// sweep.
 type Solver3D struct {
 	Par fluid.Params
 	Tau float64
@@ -79,8 +81,6 @@ type Solver3D struct {
 	par                       pool.Runner
 	relaxFn, shiftFn, macroFn func(lo, hi int)
 	runFn                     filter.RunFunc
-	shiftSrc, shiftDst        *grid.Field3D
-	shiftDx, shiftDy, shiftDz int
 	xbuf                      []float64
 
 	// Filter field list built once at construction so the steady-state
@@ -169,14 +169,14 @@ func (s *Solver3D) InitEquilibrium() {
 
 // feq3 is the D3Q15 BGK equilibrium distribution.
 func feq3(i int, rho, vx, vy, vz float64) float64 {
-	return feq3v(i, rho, vx, vy, vz, vx*vx+vy*vy+vz*vz)
+	return feq3v(i, rho, vx, vy, vz, float64(vx*vx)+float64(vy*vy)+float64(vz*vz))
 }
 
-// feq3v is feq3 with the speed-squared hoisted out of the per-population
-// loop; the expression is identical, so the hoisting is bit-exact.
+// feq3v is feq3 with the speed-squared hoisted: the table-driven form for
+// the cold paths, which the relax kernel unrolls (see feq2v).
 func feq3v(i int, rho, vx, vy, vz, v2 float64) float64 {
-	cu := float64(cx3[i])*vx + float64(cy3[i])*vy + float64(cz3[i])*vz
-	return w3[i] * rho * (1 + 3*cu + 4.5*cu*cu - 1.5*v2)
+	cu := float64(float64(cx3[i])*vx) + float64(float64(cy3[i])*vy) + float64(float64(cz3[i])*vz)
+	return feqw(w3[i]*rho, cu, float64(1.5*v2))
 }
 
 // Phases returns the compute-phase count: relax, then one no-op phase per
@@ -229,54 +229,98 @@ func (s *Solver3D) Compute(phase int) {
 func (s *Solver3D) relax() { s.run(s.Rho.NZ, s.relaxFn) }
 
 // relaxPlanes relaxes z-planes [z0, z1). All-Interior rows skip the
-// cell-type dispatch; each node writes only its own populations.
+// cell-type dispatch; each node writes only its own populations. The
+// population loop is unrolled with literal D3Q15 constants (see the
+// package comment).
 func (s *Solver3D) relaxPlanes(z0, z1 int) {
 	p := s.Par
 	invTau := 1 / s.Tau
 	forced := p.ForceX != 0 || p.ForceY != 0 || p.ForceZ != 0
+	// Per-call constants: the inlet equilibrium, and the forcing term
+	// 3 w_i (c_i . g) split as (3 w_i, c_i . g) around the per-node rho.
+	var inlet, kw, cg [Q3]float64
+	for i := 0; i < Q3; i++ {
+		inlet[i] = feq3(i, p.InletRho, p.InletVx, p.InletVy, p.InletVz)
+		kw[i] = 3 * w3[i]
+		cg[i] = float64(float64(cx3[i])*p.ForceX) + float64(float64(cy3[i])*p.ForceY) + float64(float64(cz3[i])*p.ForceZ)
+	}
 	nx, ny := s.Rho.NX, s.Rho.NY
 	for z := z0; z < z1; z++ {
 		for y := 0; y < ny; y++ {
 			open := s.rowOpen[z*ny+y]
 			row := (z*ny + y) * nx
-			for x := 0; x < nx; x++ {
+			cells := s.cells[row : row+nx]
+			// Row views of every field (see Solver2D.relaxRows).
+			b, n := s.Rho.Idx(0, y, z), len(cells)
+			f0, f1, f2 := s.F[0].Data()[b:][:n], s.F[1].Data()[b:][:n], s.F[2].Data()[b:][:n]
+			f3, f4, f5 := s.F[3].Data()[b:][:n], s.F[4].Data()[b:][:n], s.F[5].Data()[b:][:n]
+			f6, f7, f8 := s.F[6].Data()[b:][:n], s.F[7].Data()[b:][:n], s.F[8].Data()[b:][:n]
+			f9, f10, f11 := s.F[9].Data()[b:][:n], s.F[10].Data()[b:][:n], s.F[11].Data()[b:][:n]
+			f12, f13, f14 := s.F[12].Data()[b:][:n], s.F[13].Data()[b:][:n], s.F[14].Data()[b:][:n]
+			rhos, vxs, vys, vzs := s.Rho.Data()[b:][:n], s.Vx.Data()[b:][:n], s.Vy.Data()[b:][:n], s.Vz.Data()[b:][:n]
+			for j, c := range cells {
 				if !open {
-					switch s.cells[row+x] {
+					switch c {
 					case fluid.Wall:
-						for i := 1; i < Q3; i++ {
-							if j := opp3[i]; j > i {
-								a, b := s.F[i].At(x, y, z), s.F[j].At(x, y, z)
-								s.F[i].Set(x, y, z, b)
-								s.F[j].Set(x, y, z, a)
-							}
-						}
+						f1[j], f2[j] = f2[j], f1[j]
+						f3[j], f4[j] = f4[j], f3[j]
+						f5[j], f6[j] = f6[j], f5[j]
+						f7[j], f14[j] = f14[j], f7[j]
+						f8[j], f13[j] = f13[j], f8[j]
+						f9[j], f12[j] = f12[j], f9[j]
+						f10[j], f11[j] = f11[j], f10[j]
 						continue
 					case fluid.Inlet:
-						for i := 0; i < Q3; i++ {
-							s.F[i].Set(x, y, z, feq3(i, p.InletRho, p.InletVx, p.InletVy, p.InletVz))
+						for i := range s.F {
+							s.F[i].Data()[b+j] = inlet[i]
 						}
 						continue
 					case fluid.Outlet:
-						vx, vy, vz := s.Vx.At(x, y, z), s.Vy.At(x, y, z), s.Vz.At(x, y, z)
-						for i := 0; i < Q3; i++ {
-							s.F[i].Set(x, y, z, feq3(i, p.OutletRho, vx, vy, vz))
+						vx, vy, vz := vxs[j], vys[j], vzs[j]
+						for i := range s.F {
+							s.F[i].Data()[b+j] = feq3(i, p.OutletRho, vx, vy, vz)
 						}
 						continue
 					}
 				}
-				rho := s.Rho.At(x, y, z)
-				vx, vy, vz := s.Vx.At(x, y, z), s.Vy.At(x, y, z), s.Vz.At(x, y, z)
-				v2 := vx*vx + vy*vy + vz*vz
-				for i := 0; i < Q3; i++ {
-					f := s.F[i].At(x, y, z)
-					s.F[i].Set(x, y, z, f+(feq3v(i, rho, vx, vy, vz, v2)-f)*invTau)
-				}
+				rho, vx, vy, vz := rhos[j], vxs[j], vys[j], vzs[j]
+				u := float64(1.5 * (float64(vx*vx) + float64(vy*vy) + float64(vz*vz)))
+				w0, w1, w7 := 2.0/9*rho, 1.0/9*rho, 1.0/72*rho
+				r0 := bgk(f0[j], feqw(w0, float64(0*vx)+float64(0*vy)+float64(0*vz), u), invTau)
+				r1 := bgk(f1[j], feqw(w1, float64(1*vx)+float64(0*vy)+float64(0*vz), u), invTau)
+				r2 := bgk(f2[j], feqw(w1, float64(-1*vx)+float64(0*vy)+float64(0*vz), u), invTau)
+				r3 := bgk(f3[j], feqw(w1, float64(0*vx)+float64(1*vy)+float64(0*vz), u), invTau)
+				r4 := bgk(f4[j], feqw(w1, float64(0*vx)+float64(-1*vy)+float64(0*vz), u), invTau)
+				r5 := bgk(f5[j], feqw(w1, float64(0*vx)+float64(0*vy)+float64(1*vz), u), invTau)
+				r6 := bgk(f6[j], feqw(w1, float64(0*vx)+float64(0*vy)+float64(-1*vz), u), invTau)
+				r7 := bgk(f7[j], feqw(w7, float64(1*vx)+float64(1*vy)+float64(1*vz), u), invTau)
+				r8 := bgk(f8[j], feqw(w7, float64(1*vx)+float64(1*vy)+float64(-1*vz), u), invTau)
+				r9 := bgk(f9[j], feqw(w7, float64(1*vx)+float64(-1*vy)+float64(1*vz), u), invTau)
+				r10 := bgk(f10[j], feqw(w7, float64(1*vx)+float64(-1*vy)+float64(-1*vz), u), invTau)
+				r11 := bgk(f11[j], feqw(w7, float64(-1*vx)+float64(1*vy)+float64(1*vz), u), invTau)
+				r12 := bgk(f12[j], feqw(w7, float64(-1*vx)+float64(1*vy)+float64(-1*vz), u), invTau)
+				r13 := bgk(f13[j], feqw(w7, float64(-1*vx)+float64(-1*vy)+float64(1*vz), u), invTau)
+				r14 := bgk(f14[j], feqw(w7, float64(-1*vx)+float64(-1*vy)+float64(-1*vz), u), invTau)
+				// One store per population, force included (see Solver2D).
 				if forced {
-					for i := 1; i < Q3; i++ {
-						cg := float64(cx3[i])*p.ForceX + float64(cy3[i])*p.ForceY + float64(cz3[i])*p.ForceZ
-						s.F[i].Add(x, y, z, 3*w3[i]*rho*cg)
-					}
+					r1 += float64(kw[1] * rho * cg[1])
+					r2 += float64(kw[2] * rho * cg[2])
+					r3 += float64(kw[3] * rho * cg[3])
+					r4 += float64(kw[4] * rho * cg[4])
+					r5 += float64(kw[5] * rho * cg[5])
+					r6 += float64(kw[6] * rho * cg[6])
+					r7 += float64(kw[7] * rho * cg[7])
+					r8 += float64(kw[8] * rho * cg[8])
+					r9 += float64(kw[9] * rho * cg[9])
+					r10 += float64(kw[10] * rho * cg[10])
+					r11 += float64(kw[11] * rho * cg[11])
+					r12 += float64(kw[12] * rho * cg[12])
+					r13 += float64(kw[13] * rho * cg[13])
+					r14 += float64(kw[14] * rho * cg[14])
 				}
+				f0[j], f1[j], f2[j], f3[j], f4[j] = r0, r1, r2, r3, r4
+				f5[j], f6[j], f7[j], f8[j], f9[j] = r5, r6, r7, r8, r9
+				f10[j], f11[j], f12[j], f13[j], f14[j] = r10, r11, r12, r13, r14
 			}
 		}
 	}
@@ -284,25 +328,27 @@ func (s *Solver3D) relaxPlanes(z0, z1 int) {
 
 // shift streams populations to interior targets, reading ghost sources
 // filled by the three exchange sweeps. Targets are interior-only, so the
-// z-plane slabs cover the whole write range.
+// z-plane slabs cover the whole write range, and one pool run streams
+// every population: the phase pays one barrier.
 func (s *Solver3D) shift() {
+	s.run(s.Rho.NZ, s.shiftFn)
 	for i := 0; i < Q3; i++ {
-		s.shiftSrc, s.shiftDst = s.F[i], s.nF[i]
-		s.shiftDx, s.shiftDy, s.shiftDz = cx3[i], cy3[i], cz3[i]
-		s.run(s.Rho.NZ, s.shiftFn)
 		s.F[i].Swap(s.nF[i])
 	}
 }
 
-// shiftPlanes streams the current population into dst z-planes [z0, z1).
+// shiftPlanes streams every population into its post-shift buffer on
+// z-planes [z0, z1), one row copy dst(., y, z) = src(.-dx, y-dy, z-dz)
+// at a time.
 func (s *Solver3D) shiftPlanes(z0, z1 int) {
 	nx, ny := s.Rho.NX, s.Rho.NY
-	src, dst := s.shiftSrc, s.shiftDst
-	dx, dy, dz := s.shiftDx, s.shiftDy, s.shiftDz
-	for z := z0; z < z1; z++ {
-		for y := 0; y < ny; y++ {
-			for x := 0; x < nx; x++ {
-				dst.Set(x, y, z, src.At(x-dx, y-dy, z-dz))
+	for i := 0; i < Q3; i++ {
+		src, dst := s.F[i].Data(), s.nF[i].Data()
+		dx, dy, dz := cx3[i], cy3[i], cz3[i]
+		for z := z0; z < z1; z++ {
+			for y := 0; y < ny; y++ {
+				d, o := s.Rho.Idx(0, y, z), s.Rho.Idx(-dx, y-dy, z-dz)
+				copy(dst[d:d+nx], src[o:o+nx])
 			}
 		}
 	}
@@ -310,33 +356,42 @@ func (s *Solver3D) shiftPlanes(z0, z1 int) {
 
 func (s *Solver3D) macroscopics() { s.run(s.Rho.NZ, s.macroFn) }
 
-// macroPlanes recomputes the fluid variables on z-planes [z0, z1).
+// macroPlanes recomputes the fluid variables on z-planes [z0, z1): the
+// population sums of rho and momentum, unrolled in population order.
 func (s *Solver3D) macroPlanes(z0, z1 int) {
 	nx, ny := s.Rho.NX, s.Rho.NY
 	for z := z0; z < z1; z++ {
 		for y := 0; y < ny; y++ {
 			open := s.rowOpen[z*ny+y]
 			row := (z*ny + y) * nx
-			for x := 0; x < nx; x++ {
-				if !open && s.cells[row+x] == fluid.Wall {
-					s.Rho.Set(x, y, z, s.Par.Rho0)
-					s.Vx.Set(x, y, z, 0)
-					s.Vy.Set(x, y, z, 0)
-					s.Vz.Set(x, y, z, 0)
+			cells := s.cells[row : row+nx]
+			// Row views of every field (see Solver2D.relaxRows).
+			b, n := s.Rho.Idx(0, y, z), len(cells)
+			f0, f1, f2 := s.F[0].Data()[b:][:n], s.F[1].Data()[b:][:n], s.F[2].Data()[b:][:n]
+			f3, f4, f5 := s.F[3].Data()[b:][:n], s.F[4].Data()[b:][:n], s.F[5].Data()[b:][:n]
+			f6, f7, f8 := s.F[6].Data()[b:][:n], s.F[7].Data()[b:][:n], s.F[8].Data()[b:][:n]
+			f9, f10, f11 := s.F[9].Data()[b:][:n], s.F[10].Data()[b:][:n], s.F[11].Data()[b:][:n]
+			f12, f13, f14 := s.F[12].Data()[b:][:n], s.F[13].Data()[b:][:n], s.F[14].Data()[b:][:n]
+			rhos, vxs, vys, vzs := s.Rho.Data()[b:][:n], s.Vx.Data()[b:][:n], s.Vy.Data()[b:][:n], s.Vz.Data()[b:][:n]
+			for j, c := range cells {
+				if !open && c == fluid.Wall {
+					rhos[j], vxs[j], vys[j], vzs[j] = s.Par.Rho0, 0, 0, 0
 					continue
 				}
-				rho, mx, my, mz := 0.0, 0.0, 0.0, 0.0
-				for i := 0; i < Q3; i++ {
-					f := s.F[i].At(x, y, z)
-					rho += f
-					mx += f * float64(cx3[i])
-					my += f * float64(cy3[i])
-					mz += f * float64(cz3[i])
-				}
-				s.Rho.Set(x, y, z, rho)
-				s.Vx.Set(x, y, z, mx/rho)
-				s.Vy.Set(x, y, z, my/rho)
-				s.Vz.Set(x, y, z, mz/rho)
+				a0, a1, a2, a3, a4 := f0[j], f1[j], f2[j], f3[j], f4[j]
+				a5, a6, a7, a8, a9 := f5[j], f6[j], f7[j], f8[j], f9[j]
+				a10, a11, a12, a13, a14 := f10[j], f11[j], f12[j], f13[j], f14[j]
+				rho := 0 + a0 + a1 + a2 + a3 + a4 + a5 + a6 + a7 + a8 + a9 + a10 + a11 + a12 + a13 + a14
+				mx := 0 + float64(a0*0) + float64(a1*1) + float64(a2*-1) + float64(a3*0) + float64(a4*0) +
+					float64(a5*0) + float64(a6*0) + float64(a7*1) + float64(a8*1) + float64(a9*1) +
+					float64(a10*1) + float64(a11*-1) + float64(a12*-1) + float64(a13*-1) + float64(a14*-1)
+				my := 0 + float64(a0*0) + float64(a1*0) + float64(a2*0) + float64(a3*1) + float64(a4*-1) +
+					float64(a5*0) + float64(a6*0) + float64(a7*1) + float64(a8*1) + float64(a9*-1) +
+					float64(a10*-1) + float64(a11*1) + float64(a12*1) + float64(a13*-1) + float64(a14*-1)
+				mz := 0 + float64(a0*0) + float64(a1*0) + float64(a2*0) + float64(a3*0) + float64(a4*0) +
+					float64(a5*1) + float64(a6*-1) + float64(a7*1) + float64(a8*-1) + float64(a9*1) +
+					float64(a10*-1) + float64(a11*1) + float64(a12*-1) + float64(a13*1) + float64(a14*-1)
+				rhos[j], vxs[j], vys[j], vzs[j] = rho, mx/rho, my/rho, mz/rho
 			}
 		}
 	}
