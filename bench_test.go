@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/farm/workload"
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/decomp"
@@ -21,6 +22,7 @@ import (
 	"repro/internal/model"
 	"repro/internal/netsim"
 	"repro/internal/perf"
+	"repro/internal/sched"
 	"repro/internal/syncfile"
 )
 
@@ -619,4 +621,104 @@ func BenchmarkDynamicVsMigration(b *testing.B) {
 	b.ReportMetric(ig, "ignore")
 	b.ReportMetric(mig, "migrate")
 	b.ReportMetric(dyn, "dynamic")
+}
+
+// ---------------------------------------------------------------------------
+// Scheduler layer: one whole farm replay under EASY backfill with a queue
+// hundreds deep, so nearly every scheduling round scans it for backfill
+// candidates. No simulation runs (NullWorkload); the cost is the
+// scheduling rounds themselves — reservation scans, step pricing and the
+// EASY shadow walk.
+
+// schedBenchSpec is nine tenants of 24 jobs, one shape each, arriving
+// faster than a 100-host pool drains them, under a reclaim storm.
+func schedBenchSpec() *workload.Spec {
+	cohort := func(method string, jx, jy, jz, side int) workload.Cohort {
+		return workload.Cohort{
+			Name:     fmt.Sprintf("%s-%dx%dx%d", method, jx, jy, jz),
+			Arrivals: workload.Arrivals{Process: workload.Gamma, Shape: 100, MeanGap: 45 * time.Second},
+			Jobs: workload.JobDist{
+				Shapes:  []workload.ShapeChoice{{Method: method, JX: jx, JY: jy, JZ: jz}},
+				SideMin: side,
+				Steps:   workload.StepsDist{Median: 4000, Sigma: 0.05},
+			},
+			MaxJobs: 24,
+		}
+	}
+	return &workload.Spec{
+		Name:    "sched-bench",
+		Horizon: 1000 * time.Hour,
+		Cohorts: []workload.Cohort{
+			cohort("lb2d", 4, 2, 0, 42),
+			cohort("lb2d", 2, 2, 0, 42),
+			cohort("fd2d", 3, 3, 0, 42),
+			cohort("lb3d", 2, 2, 2, 12),
+			cohort("fd3d", 2, 2, 1, 12),
+			cohort("lb2d", 4, 4, 0, 31),
+			cohort("fd2d", 6, 2, 0, 31),
+			cohort("lb2d", 1, 1, 0, 62),
+			cohort("fd2d", 2, 1, 0, 62),
+		},
+		Scenario: &workload.Scenario{
+			Every: time.Minute,
+			Events: []workload.Event{{
+				Kind: workload.ReclaimStorm, At: 10 * time.Minute, Until: 200 * time.Hour,
+				Every: 20 * time.Minute, Hosts: 2, Dwell: 15 * time.Minute,
+			}},
+		},
+	}
+}
+
+// quietPool is a pool of n715 715/50s, n720 720s and n710 710s whose
+// users have been idle for half an hour.
+func quietPool(n715, n720, n710 int) *cluster.Cluster {
+	c := &cluster.Cluster{}
+	add := func(prefix string, n int, m cluster.Model) {
+		for i := 0; i < n; i++ {
+			c.Hosts = append(c.Hosts, cluster.NewHost(fmt.Sprintf("%s-%02d", prefix, i), m))
+		}
+	}
+	add("hp715", n715, cluster.HP715)
+	add("hp720", n720, cluster.HP720)
+	add("hp710", n710, cluster.HP710)
+	c.Advance(30 * time.Minute)
+	return c
+}
+
+// BenchmarkSchedulingRound replays schedBenchSpec on 100 hosts in the
+// paper pool's proportions, FIFO with EASY backfill and the compute
+// timer, and reports the scheduler's cost per job. allocs/op counts a
+// whole replay.
+func BenchmarkSchedulingRound(b *testing.B) {
+	spec := schedBenchSpec()
+	jobs, err := workload.Generate(spec, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	every, scenario, err := spec.Scenario.Compile()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s := sched.New(quietPool(64, 24, 12), sched.FIFO, 1)
+		s.Timer = sched.ComputeTimer
+		s.Backfill = sched.BackfillEASY
+		s.Scenario, s.ScenarioEvery = scenario, every
+		for _, js := range jobs {
+			if err := s.Submit(js, nil); err != nil {
+				b.Fatal(err)
+			}
+		}
+		s.Close()
+		sum, err := s.Run()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(sum.Jobs) != len(jobs) {
+			b.Fatalf("%d of %d jobs finished", len(sum.Jobs), len(jobs))
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(jobs)), "ns/job")
 }

@@ -23,101 +23,6 @@ var (
 // same pricing the farm experiment uses.
 const sweepTimer = "perf-ethernet"
 
-// sweepSpecs are the built-in scenario family: a quiet baseline, the
-// section-5.1 reclaim regime, and a bursty diurnal pool with churn and
-// an owner-return wave. All three are bounded (MaxJobs per cohort) so a
-// sweep cell runs in well under a second.
-func sweepSpecs() []*workload.Spec {
-	return []*workload.Spec{
-		{
-			Name:    "steady",
-			Horizon: 40 * time.Minute,
-			Cohorts: []workload.Cohort{
-				{
-					Name: "cfd", Weight: 2,
-					Arrivals: workload.Arrivals{Process: workload.Poisson, MeanGap: 5 * time.Minute},
-					Jobs: workload.JobDist{
-						Shapes: []workload.ShapeChoice{
-							{Method: "lb2d", JX: 4, JY: 2, Weight: 3},
-							{Method: "lb2d", JX: 5, JY: 4, Weight: 1},
-						},
-						SideMin: 20, SideMax: 40,
-						Steps: workload.StepsDist{Median: 6000, Sigma: 0.4},
-					},
-					Priorities: []workload.IntChoice{{Value: 1, Weight: 1}},
-					MaxJobs:    6,
-				},
-				{
-					Name: "cal",
-					Arrivals: workload.Arrivals{Process: workload.Gamma, MeanGap: 8 * time.Minute,
-						Shape: 2, Start: 2 * time.Minute},
-					Jobs: workload.JobDist{
-						Shapes:  []workload.ShapeChoice{{Method: "fd2d", JX: 3, JY: 3}},
-						SideMin: 40, SideMax: 64,
-						Steps: workload.StepsDist{Median: 8000, Sigma: 0.3},
-					},
-					MaxJobs: 4,
-				},
-			},
-		},
-		{
-			Name:    "storm",
-			Horizon: 40 * time.Minute,
-			Cohorts: []workload.Cohort{
-				{
-					Name: "cfd", Weight: 2,
-					Arrivals: workload.Arrivals{Process: workload.Poisson, MeanGap: 3 * time.Minute},
-					Jobs: workload.JobDist{
-						Shapes: []workload.ShapeChoice{
-							{Method: "lb2d", JX: 4, JY: 3, Weight: 2},
-							{Method: "lb3d", JX: 2, JY: 2, JZ: 2, Weight: 1},
-						},
-						SideMin: 16, SideMax: 32,
-						Steps: workload.StepsDist{Median: 5000, Sigma: 0.5},
-					},
-					Priorities: []workload.IntChoice{{Value: 1, Weight: 3}, {Value: 5, Weight: 1}},
-					MaxJobs:    7,
-				},
-			},
-			Scenario: &workload.Scenario{
-				Every: time.Minute,
-				Events: []workload.Event{
-					{Kind: workload.ReclaimStorm, At: 8 * time.Minute, Until: 23 * time.Minute,
-						Every: 5 * time.Minute, Hosts: 2, Dwell: 4 * time.Minute},
-				},
-			},
-		},
-		{
-			Name:    "diurnal-churn",
-			Horizon: time.Hour,
-			Cohorts: []workload.Cohort{
-				{
-					Name: "night", Weight: 1,
-					Arrivals: workload.Arrivals{Process: workload.Weibull, MeanGap: 6 * time.Minute,
-						Shape: 0.7, Diurnal: []float64{2, 1, 0.5, 1}, Day: time.Hour},
-					Jobs: workload.JobDist{
-						Shapes: []workload.ShapeChoice{
-							{Method: "fd2d", JX: 4, JY: 3, Weight: 1},
-							{Method: "lb2d", JX: 3, JY: 3, Weight: 1},
-						},
-						SideMin: 20, SideMax: 30,
-						Steps: workload.StepsDist{Median: 4000, Sigma: 0.6},
-					},
-					MaxJobs: 8,
-				},
-			},
-			Scenario: &workload.Scenario{
-				Every: time.Minute,
-				Events: []workload.Event{
-					{Kind: workload.HostChurn, At: 5 * time.Minute, Until: 50 * time.Minute,
-						Every: 15 * time.Minute, Hosts: 3},
-					{Kind: workload.OwnerReturn, At: 30 * time.Minute, Hosts: 4, Dwell: 10 * time.Minute},
-				},
-			},
-		},
-	}
-}
-
 // sweepRow is one cell of the sweep table: the knobs plus the run's
 // pinned-schema metrics summary.
 type sweepRow struct {
@@ -159,7 +64,7 @@ func sweep() {
 		seeds = 1
 	}
 	table := sweepTable{Format: "farm-sweep-summary", Version: 1, Timer: sweepTimer}
-	for _, spec := range sweepSpecs() {
+	for _, spec := range workload.Builtins() {
 		header(fmt.Sprintf("Sweep %q: %d knob sets x %d seeds (trace-verified)", spec.Name, len(knobs), seeds))
 		fmt.Printf("%-10s %-12s %5s %5s %12s %12s %8s %9s %7s %6s\n",
 			"policy", "backfill", "seed", "jobs", "makespan", "mean wait", "util", "preempts", "bfills", "migr")

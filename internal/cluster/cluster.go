@@ -42,20 +42,47 @@ func (m Model) String() string {
 	return fmt.Sprintf("Model(%d)", int(m))
 }
 
+// Rows of speedTable, one per numerical method.
+const (
+	methodLB2D = iota
+	methodLB3D
+	methodFD2D
+	methodFD3D
+)
+
+// speedTable is the section-7 speed table: the relative speed of each
+// model, one row per method. Host.Speed reads it for every rank of every
+// placement the scheduler prices, so it is a fixed array, not a map.
+var speedTable = [...][HP720 + 1]float64{
+	methodLB2D: {HP715: 1.0, HP710: 0.84, HP720: 0.86},
+	methodLB3D: {HP715: 0.51, HP710: 0.40, HP720: 0.42},
+	methodFD2D: {HP715: 1.24, HP710: 1.08, HP720: 1.17},
+	methodFD3D: {HP715: 1.0, HP710: 0.85, HP720: 0.94},
+}
+
+// methodRow maps a method name to its speedTable row. An unknown method
+// falls back to the LB 2D relative speeds.
+func methodRow(method string) int {
+	switch method {
+	case "lb3d":
+		return methodLB3D
+	case "fd2d":
+		return methodFD2D
+	case "fd3d":
+		return methodFD3D
+	}
+	return methodLB2D
+}
+
 // SpeedFactor returns the model's relative speed for the given method and
-// dimensionality, from the section-7 speed table.
+// dimensionality, from the section-7 speed table. An unknown model has
+// speed 0.
 func (m Model) SpeedFactor(method string) float64 {
-	table := map[string]map[Model]float64{
-		"lb2d": {HP715: 1.0, HP710: 0.84, HP720: 0.86},
-		"lb3d": {HP715: 0.51, HP710: 0.40, HP720: 0.42},
-		"fd2d": {HP715: 1.24, HP710: 1.08, HP720: 1.17},
-		"fd3d": {HP715: 1.0, HP710: 0.85, HP720: 0.94},
+	row := &speedTable[methodRow(method)]
+	if m < 0 || int(m) >= len(row) {
+		return 0
 	}
-	if row, ok := table[method]; ok {
-		return row[m]
-	}
-	// Unknown method: fall back to the LB 2D relative speeds.
-	return map[Model]float64{HP715: 1.0, HP710: 0.84, HP720: 0.86}[m]
+	return row[m]
 }
 
 // BaseNodesPerSecond is the absolute speed corresponding to relative speed
@@ -166,20 +193,29 @@ func (h *Host) Unassign() {
 // capacity decisions (see the userLoads field).
 func (h *Host) UserLoad15() float64 { return h.userLoads[2] }
 
+// decay returns the smoothing factor 1-exp(-dt/tau) of each load
+// average for an advance of dt.
+func decay(dt time.Duration) (a [3]float64) {
+	for i, tau := range loadTaus {
+		a[i] = 1 - math.Exp(-dt.Seconds()/tau.Seconds())
+	}
+	return a
+}
+
 // advance evolves the load averages toward the current job count over dt,
 // and accumulates user idle time. A parallel subprocess contributes a full
 // unit of load (it is a full-time process, merely niced), so the observable
-// load includes it when present.
-func (h *Host) advance(dt time.Duration) {
+// load includes it when present. a holds decay(dt), computed by the caller
+// so a cluster-wide Advance evaluates it once rather than once per host.
+func (h *Host) advance(dt time.Duration, a [3]float64) {
 	target := float64(h.jobs)
 	if h.assigned >= 0 {
 		target++
 	}
 	user := float64(h.jobs)
-	for i, tau := range loadTaus {
-		a := 1 - math.Exp(-dt.Seconds()/tau.Seconds())
-		h.loads[i] += (target - h.loads[i]) * a
-		h.userLoads[i] += (user - h.userLoads[i]) * a
+	for i := range a {
+		h.loads[i] += (target - h.loads[i]) * a[i]
+		h.userLoads[i] += (user - h.userLoads[i]) * a[i]
 	}
 	h.idleFor += dt
 }
@@ -200,6 +236,11 @@ type Cluster struct {
 
 	// events is the pending host event stream (see events.go).
 	events []HostEvent
+
+	// Scratch slices of the reservation scan (see reserve.go), reused
+	// across calls so the scan allocates nothing. They never escape
+	// the cluster: a Reservation gets its own copy of its hosts.
+	idle, active, order []*Host
 }
 
 // NewPaperCluster builds the paper's pool: sixteen 715/50s, six 720s and
@@ -224,8 +265,9 @@ func (c *Cluster) Now() time.Duration { return c.now }
 // Advance moves simulated time forward, evolving every host.
 func (c *Cluster) Advance(dt time.Duration) {
 	c.now += dt
+	a := decay(dt)
 	for _, h := range c.Hosts {
-		h.advance(dt)
+		h.advance(dt, a)
 	}
 }
 
@@ -302,6 +344,9 @@ func (c *Cluster) classify(pol SelectionPolicy, loadOf func(*Host) float64) (idl
 	}
 	return idle, active
 }
+
+// numTiers is the number of modelPreference tiers.
+const numTiers = 3
 
 // modelPreference orders 715 first, then 720, then 710 (the paper treats
 // 710 as the slowest).

@@ -19,6 +19,9 @@ func TestPaperClusterComposition(t *testing.T) {
 	}
 }
 
+// TestSpeedTable ties every (method, model) entry of the speed table to
+// the paper's section-7 value, plus the two fallbacks: an unknown method
+// reads the LB 2D row, an unknown model has speed 0.
 func TestSpeedTable(t *testing.T) {
 	// The section-7 speed table, relative to the 715/50.
 	cases := []struct {
@@ -30,11 +33,20 @@ func TestSpeedTable(t *testing.T) {
 		{"lb3d", HP715, 0.51}, {"lb3d", HP710, 0.40}, {"lb3d", HP720, 0.42},
 		{"fd2d", HP715, 1.24}, {"fd2d", HP710, 1.08}, {"fd2d", HP720, 1.17},
 		{"fd3d", HP715, 1.0}, {"fd3d", HP710, 0.85}, {"fd3d", HP720, 0.94},
+		// Unknown methods fall back to the LB 2D row.
+		{"", HP715, 1.0}, {"spectral", HP710, 0.84}, {"LB3D", HP720, 0.86},
+		// Unknown models have no speed under any method.
+		{"lb2d", Model(3), 0}, {"fd3d", Model(-1), 0}, {"spectral", Model(99), 0},
 	}
 	for _, c := range cases {
 		if got := c.model.SpeedFactor(c.method); got != c.want {
 			t.Errorf("SpeedFactor(%s, %v) = %v, want %v", c.method, c.model, got, c.want)
 		}
+	}
+	// Every table entry is pinned above: the table has exactly the four
+	// methods and three models.
+	if len(speedTable) != 4 || len(speedTable[0]) != 3 {
+		t.Errorf("speed table is %d x %d, want 4 methods x 3 models", len(speedTable), len(speedTable[0]))
 	}
 }
 
@@ -44,7 +56,7 @@ func TestLoadAverageConverges(t *testing.T) {
 	// After 5 minutes, the 1-minute average is nearly 1; the 15-minute
 	// average lags behind.
 	for i := 0; i < 300; i++ {
-		h.advance(time.Second)
+		h.advance(time.Second, decay(time.Second))
 	}
 	l1, l5, l15 := h.Uptime()
 	if l1 < 0.95 {
@@ -58,7 +70,7 @@ func TestLoadAverageConverges(t *testing.T) {
 	}
 	h.StopJob()
 	for i := 0; i < 3600; i++ {
-		h.advance(time.Second)
+		h.advance(time.Second, decay(time.Second))
 	}
 	l1, _, l15 = h.Uptime()
 	if l1 > 0.01 || l15 > 0.05 {
@@ -70,7 +82,7 @@ func TestAssignedSubprocessContributesLoad(t *testing.T) {
 	h := NewHost("x", HP715)
 	h.Assign(3)
 	for i := 0; i < 1200; i++ {
-		h.advance(time.Second)
+		h.advance(time.Second, decay(time.Second))
 	}
 	_, l5, _ := h.Uptime()
 	if l5 < 0.9 {
@@ -80,7 +92,7 @@ func TestAssignedSubprocessContributesLoad(t *testing.T) {
 	// the migration threshold.
 	h.StartJob()
 	for i := 0; i < 1200; i++ {
-		h.advance(time.Second)
+		h.advance(time.Second, decay(time.Second))
 	}
 	_, l5, _ = h.Uptime()
 	if l5 < 1.6 {

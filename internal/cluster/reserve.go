@@ -3,7 +3,9 @@ package cluster
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
+	"strings"
 )
 
 // Reservation is a capacity claim on the pool: a set of hosts set aside
@@ -29,6 +31,7 @@ func (h *Host) ReservableWhenFree(pol SelectionPolicy) bool {
 
 // reservable returns the hosts a farm scheduler may claim, split into the
 // preferred idle-user group and the active-user group of section 4.1.
+// Both are the cluster's scratch slices, valid until the next scan.
 //
 // It differs from SelectFree in two deliberate ways. First, the load
 // threshold applies to the user-attributable load (UserLoad15) rather
@@ -40,6 +43,7 @@ func (h *Host) ReservableWhenFree(pol SelectionPolicy) bool {
 // user's load shows up in the averages — otherwise the farm would claim
 // back the very machine it just vacated.
 func (c *Cluster) reservable(pol SelectionPolicy) (idle, active []*Host) {
+	idle, active = c.idle[:0], c.active[:0]
 	for _, h := range c.Hosts {
 		if h.assigned >= 0 || !h.ReservableWhenFree(pol) {
 			continue
@@ -50,13 +54,20 @@ func (c *Cluster) reservable(pol SelectionPolicy) (idle, active []*Host) {
 			active = append(active, h)
 		}
 	}
+	c.idle, c.active = idle, active
 	return idle, active
 }
 
 // Capacity returns how many hosts a Reserve call could claim right now.
+// It only counts, so it allocates nothing and draws nothing.
 func (c *Cluster) Capacity(pol SelectionPolicy) int {
-	idle, active := c.reservable(pol)
-	return len(idle) + len(active)
+	n := 0
+	for _, h := range c.Hosts {
+		if h.assigned < 0 && h.ReservableWhenFree(pol) {
+			n++
+		}
+	}
+	return n
 }
 
 // Reserve claims n hosts for the named owner, assigning rank i to the
@@ -67,41 +78,54 @@ func (c *Cluster) Capacity(pol SelectionPolicy) int {
 // orders: no fixed host ordering can produce adversarial worst-case
 // packing across scheduling rounds. A nil rng keeps the deterministic
 // name order of SelectFree.
+//
+// A shortfall returns its error before anything is drawn from rng, so a
+// caller may skip a claim it knows would fall short (n above Capacity)
+// without changing the draw sequence.
 func (c *Cluster) Reserve(owner string, n int, pol SelectionPolicy, rng *rand.Rand) (*Reservation, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("cluster: reserve %d hosts", n)
 	}
-	idle, active := c.reservable(pol)
-	if len(idle)+len(active) < n {
-		return nil, fmt.Errorf("cluster: reserve %d hosts for %q: only %d reservable",
-			n, owner, len(idle)+len(active))
+	if have := c.Capacity(pol); have < n {
+		return nil, fmt.Errorf("cluster: reserve %d hosts for %q: only %d reservable", n, owner, have)
 	}
-	orderTiers(idle, active, rng)
-	all := append(idle, active...)
-	r := &Reservation{Owner: owner, Hosts: all[:n:n]}
+	r := &Reservation{Owner: owner, Hosts: make([]*Host, n)}
+	copy(r.Hosts, c.scan(pol, rng))
 	for i, h := range r.Hosts {
 		h.AssignTo(owner, i)
 	}
 	return r, nil
 }
 
-// orderTiers arranges each preference group for a reservation scan: a
-// fresh random permutation from rng (or deterministic name order when rng
-// is nil), then a stable sort by model preference so the permutation
-// survives within each model tier.
-func orderTiers(idle, active []*Host, rng *rand.Rand) {
-	order := func(hosts []*Host) {
-		if rng != nil {
-			rng.Shuffle(len(hosts), func(i, j int) { hosts[i], hosts[j] = hosts[j], hosts[i] })
-		} else {
-			sort.SliceStable(hosts, func(i, j int) bool { return hosts[i].Name < hosts[j].Name })
-		}
-		sort.SliceStable(hosts, func(i, j int) bool {
-			return modelPreference(hosts[i].Model) < modelPreference(hosts[j].Model)
-		})
+// scan returns every reservable host in reservation order: the idle-user
+// group, then the active-user group, each arranged by orderTiers (idle
+// shuffled first). The result is the cluster's scratch slice; callers
+// copy the hosts they keep.
+func (c *Cluster) scan(pol SelectionPolicy, rng *rand.Rand) []*Host {
+	idle, active := c.reservable(pol)
+	c.order = orderTiers(c.order[:0], idle, rng)
+	c.order = orderTiers(c.order, active, rng)
+	return c.order
+}
+
+// orderTiers appends one preference group to dst in reservation-scan
+// order: a fresh random permutation from rng (or deterministic name order
+// when rng is nil), then a stable partition by model preference so the
+// permutation survives within each model tier.
+func orderTiers(dst, hosts []*Host, rng *rand.Rand) []*Host {
+	if rng != nil {
+		rng.Shuffle(len(hosts), func(i, j int) { hosts[i], hosts[j] = hosts[j], hosts[i] })
+	} else {
+		slices.SortStableFunc(hosts, func(a, b *Host) int { return strings.Compare(a.Name, b.Name) })
 	}
-	order(idle)
-	order(active)
+	for tier := 0; tier < numTiers; tier++ {
+		for _, h := range hosts {
+			if modelPreference(h.Model) == tier {
+				dst = append(dst, h)
+			}
+		}
+	}
+	return dst
 }
 
 // Release frees every host still held by the reservation. Hosts whose
@@ -151,15 +175,16 @@ func (c *Cluster) Migrate(r *Reservation, busy []*Host, pol SelectionPolicy, rng
 	if len(busy) == 0 {
 		return nil, nil, nil
 	}
-	idle, active := c.reservable(pol)
-	if len(idle)+len(active) < len(busy) {
+	if have := c.Capacity(pol); have < len(busy) {
 		return nil, nil, fmt.Errorf("cluster: migrate %d ranks of %q: only %d reservable hosts",
-			len(busy), r.Owner, len(idle)+len(active))
+			len(busy), r.Owner, have)
 	}
-	orderTiers(idle, active, rng)
-	all := append(idle, active...)
+	// Scan before Shrink: the busy hosts must not be their own
+	// replacements.
+	all := c.scan(pol, rng)
 	ranks = r.Shrink(busy)
-	repl = all[:len(ranks):len(ranks)]
+	repl = make([]*Host, len(ranks))
+	copy(repl, all)
 	for i, rank := range ranks {
 		repl[i].AssignTo(r.Owner, rank)
 		r.Hosts[rank] = repl[i]

@@ -1,28 +1,115 @@
 package decomp
 
 import (
+	"maps"
 	"reflect"
+	"slices"
 	"testing"
+
+	"repro/internal/cluster"
 )
+
+// hostSpeeds returns every distinct Host.Speed a scheduler can see: each
+// model under each method (an unknown method reads the LB 2D row) with 0
+// to 3 competing jobs, in ascending order.
+func hostSpeeds() []float64 {
+	seen := map[float64]bool{}
+	for _, m := range []cluster.Model{cluster.HP715, cluster.HP710, cluster.HP720} {
+		for _, method := range []string{"lb2d", "lb3d", "fd2d", "fd3d", "unknown"} {
+			h := cluster.NewHost("h", m)
+			for jobs := 0; jobs <= 3; jobs++ {
+				seen[h.Speed(method)] = true
+				h.StartJob()
+			}
+		}
+	}
+	return slices.Sorted(maps.Keys(seen))
+}
 
 // TestWeightedSpansEqualWeightsBitIdentical: the degenerate equal-weights
 // case must reproduce the uniform splitter bit for bit, remainders
-// included, so homogeneous pools see no change at all.
+// included, so homogeneous pools see no change at all. The scheduler
+// relies on it to price equal-speed placements uniform without computing
+// a weighted shape, so it is checked exhaustively: every piece count 1 to
+// 25 (the paper pool has 25 hosts), every grid extent up to 2048, every
+// host speed as the weight.
 func TestWeightedSpansEqualWeightsBitIdentical(t *testing.T) {
-	for _, tc := range []struct{ g, p int }{
-		{80, 2}, {81, 2}, {100, 7}, {40, 5}, {25, 25}, {26, 25}, {7, 3},
-	} {
-		w := make([]float64, tc.p)
+	speeds := hostSpeeds()
+	if len(speeds) < 40 {
+		t.Fatalf("only %d distinct host speeds", len(speeds))
+	}
+	for p := 1; p <= 25; p++ {
+		w := make([]float64, p)
+		for g := p; g <= 2048; g++ {
+			want := UniformSpans(g, p)
+			for _, s := range speeds {
+				for i := range w {
+					w[i] = s
+				}
+				got, err := WeightedSpans(g, w)
+				if err != nil {
+					t.Fatalf("WeightedSpans(%d, %v x%d): %v", g, s, p, err)
+				}
+				if !slices.Equal(got, want) {
+					t.Fatalf("g=%d p=%d w=%v: weighted %v != uniform %v", g, p, s, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestWeightedShapeEqualSpeedsBitIdentical: at equal host speeds the
+// weighted 2D and 3D shapes equal the uniform ones for every lattice up
+// to 5x5 (the built-in specs use 5x4) and 3x3x3 — the per-axis weights
+// sum equal speeds in the same order, so they tie exactly.
+func TestWeightedShapeEqualSpeedsBitIdentical(t *testing.T) {
+	speeds := hostSpeeds()
+	grids := []int{4, 5, 7, 16, 31, 42, 100, 257}
+	equal := func(n int, s float64) []float64 {
+		w := make([]float64, n)
 		for i := range w {
-			w[i] = 0.84 // any equal value, including a non-unit one
+			w[i] = s
 		}
-		got, err := WeightedSpans(tc.g, w)
-		if err != nil {
-			t.Fatalf("WeightedSpans(%d, equal x%d): %v", tc.g, tc.p, err)
+		return w
+	}
+	for jx := 1; jx <= 5; jx++ {
+		for jy := 1; jy <= 5; jy++ {
+			for _, gx := range grids {
+				for _, gy := range grids {
+					if gx < jx || gy < jy {
+						continue
+					}
+					want := UniformShape2D(jx, jy, gx, gy)
+					for _, s := range speeds {
+						got, err := WeightedShape2D(jx, jy, gx, gy, equal(jx*jy, s))
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !got.Equal(want) {
+							t.Fatalf("(%dx%d) on %dx%d at %v: weighted %+v != uniform %+v", jx, jy, gx, gy, s, got, want)
+						}
+					}
+				}
+			}
 		}
-		want := UniformSpans(tc.g, tc.p)
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("g=%d p=%d: weighted %v != uniform %v", tc.g, tc.p, got, want)
+	}
+	for jx := 1; jx <= 3; jx++ {
+		for jy := 1; jy <= 3; jy++ {
+			for jz := 1; jz <= 3; jz++ {
+				for _, g := range grids {
+					gx, gy, gz := g, g+1, g+2
+					want := UniformShape3D(jx, jy, jz, gx, gy, gz)
+					for _, s := range speeds {
+						got, err := WeightedShape3D(jx, jy, jz, gx, gy, gz, equal(jx*jy*jz, s))
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !got.Equal(want) {
+							t.Fatalf("(%dx%dx%d) on %dx%dx%d at %v: weighted %+v != uniform %+v", jx, jy, jz, gx, gy, gz, s, got, want)
+						}
+					}
+				}
+			}
 		}
 	}
 }

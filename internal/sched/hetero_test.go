@@ -123,6 +123,53 @@ func TestWeightedBeatsUniformOnMixedPool(t *testing.T) {
 	}
 }
 
+// TestChooseShapeEqualSpeedsPricesOnce: a placement whose hosts all run
+// at one speed is priced once, on the zero (uniform) shape, without a
+// weighted shape; a same-model host slowed by a competing job breaks the
+// tie and sends the placement through the weighted comparison.
+func TestChooseShapeEqualSpeedsPricesOnce(t *testing.T) {
+	spec := JobSpec{ID: "c", Method: "lb2d", JX: 4, JY: 1, Side: 40, Steps: 1}
+	var shapes []decomp.Shape
+	s := New(idlePool(), FIFO, 1)
+	s.Timer = func(spec JobSpec, sh decomp.Shape, hosts []*cluster.Host) (float64, error) {
+		shapes = append(shapes, sh)
+		return ComputeTimer(spec, sh, hosts)
+	}
+	hosts := func() []*cluster.Host {
+		return []*cluster.Host{
+			cluster.NewHost("a", cluster.HP720), cluster.NewHost("b", cluster.HP720),
+			cluster.NewHost("c", cluster.HP720), cluster.NewHost("d", cluster.HP720),
+		}
+	}
+	same := hosts()
+	if !equalSpeeds(spec, same) {
+		t.Fatal("four idle 720s do not have equal speeds")
+	}
+	sh, sec, err := s.chooseShape(spec, same)
+	if err != nil || !sh.IsZero() {
+		t.Fatalf("chooseShape = %v, %v, want the zero shape", sh, err)
+	}
+	if len(shapes) != 1 || !shapes[0].IsZero() {
+		t.Errorf("equal speeds priced %d times (%v), want once on the zero shape", len(shapes), shapes)
+	}
+	if want, _ := ComputeTimer(spec, decomp.Shape{}, same); sec != want {
+		t.Errorf("price %v, want %v", sec, want)
+	}
+
+	busy := hosts()
+	busy[2].StartJob()
+	if equalSpeeds(spec, busy) {
+		t.Fatal("a host with a competing job counted as equal speed")
+	}
+	shapes = nil
+	if sh, _, err := s.chooseShape(spec, busy); err != nil || sh.IsZero() {
+		t.Errorf("chooseShape with one slowed host = %v, %v, want a weighted shape", sh, err)
+	}
+	if len(shapes) != 2 {
+		t.Errorf("mixed speeds priced %d times, want weighted and uniform", len(shapes))
+	}
+}
+
 // TestFarmRunsWeightedOnMixedPool: a chain job reserving a mixed-model
 // pool gets a speed-weighted shape from the scheduler, finishes sooner
 // than the same trace priced uniform, and reports its imbalance through

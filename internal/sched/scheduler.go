@@ -626,12 +626,19 @@ func (s *Scheduler) less(a, b *jobState) bool {
 // placement changes capacity and, under WeightedFair, shares. Under
 // BackfillEASY a candidate behind the blocked head must finish before the
 // head's projected start (its virtual-finish-time reservation).
+//
+// Each pass counts the reservable hosts once: nothing in a pass changes
+// the count before the pass places a job and ends (tryPreempt places the
+// head or suspends no one). A candidate wider than the count is passed
+// over without calling Reserve — exactly what Reserve would conclude,
+// before drawing from the RNG.
 func (s *Scheduler) scheduleRound(t time.Duration) error {
 	degradeCounted := false
 	for {
 		sort.SliceStable(s.queue, func(i, j int) bool { return s.less(s.queue[i], s.queue[j]) })
 		placed := -1
 		shadow, shadowSet := time.Duration(-1), false
+		free := s.Cluster.Capacity(s.Select)
 		for i, js := range s.queue {
 			deadline := time.Duration(-1)
 			if i > 0 && s.Backfill == BackfillEASY {
@@ -653,13 +660,15 @@ func (s *Scheduler) scheduleRound(t time.Duration) error {
 				}
 				deadline = shadow
 			}
-			ok, err := s.tryPlace(js, t, deadline)
-			if err != nil {
-				return err
-			}
-			if ok {
-				placed = i
-				break
+			if js.ranks() <= free {
+				ok, err := s.tryPlace(js, t, deadline)
+				if err != nil {
+					return err
+				}
+				if ok {
+					placed = i
+					break
+				}
 			}
 			if i == 0 && s.Policy == Priority {
 				ok, err := s.tryPreempt(js, t)
@@ -743,23 +752,26 @@ func (s *Scheduler) logf(format string, args ...any) {
 // balanced compute saves; the comparison guarantees weighting never
 // prices a placement worse than the identical-spans split would have,
 // whichever timer the farm runs. Equal speeds produce a weighted shape
-// bit-identical to the uniform one, so homogeneous pools always fall
-// through to uniform. Returning the price lets tryPlace reuse it
-// instead of running the timer — a whole discrete-event simulation
-// under PerfTimer — a second time on the winning shape.
+// bit-identical to the uniform one, so a placement whose hosts all run
+// at one speed skips the weighted shape and prices uniform directly.
+// Returning the price lets tryPlace reuse it instead of running the
+// timer — a whole discrete-event simulation under PerfTimer — a second
+// time on the winning shape.
 func (s *Scheduler) chooseShape(spec JobSpec, hosts []*cluster.Host) (decomp.Shape, float64, error) {
-	uni := UniformShape(spec)
-	if w, err := WeightedShape(spec, hosts); err == nil && !w.Equal(uni) {
-		wb, errW := s.Timer(spec, w, hosts)
-		ub, errU := s.Timer(spec, uni, hosts)
-		if errW == nil && errU == nil && wb < ub {
-			return w, wb, nil
+	if !equalSpeeds(spec, hosts) {
+		uni := UniformShape(spec)
+		if w, err := WeightedShape(spec, hosts); err == nil && !w.Equal(uni) {
+			wb, errW := s.Timer(spec, w, hosts)
+			ub, errU := s.Timer(spec, uni, hosts)
+			if errW == nil && errU == nil && wb < ub {
+				return w, wb, nil
+			}
+			if errU == nil {
+				return decomp.Shape{}, ub, nil
+			}
+			// The uniform pricing itself failed; re-run it below so the
+			// caller sees the error exactly as a direct pricing would.
 		}
-		if errU == nil {
-			return decomp.Shape{}, ub, nil
-		}
-		// The uniform pricing itself failed; re-run it below so the
-		// caller sees the error exactly as a direct pricing would.
 	}
 	sec, err := s.Timer(spec, decomp.Shape{}, hosts)
 	return decomp.Shape{}, sec, err
@@ -830,7 +842,11 @@ func (s *Scheduler) tryPlace(js *jobState, t time.Duration, deadline time.Durati
 
 // tryPreempt makes room for the blocked queue head by suspending running
 // jobs of strictly lower priority — lowest priority first, most recently
-// placed first among equals — then places the head.
+// placed first among equals — then places the head. It either places the
+// head (or fails with an error) or suspends no one: it suspends only once
+// the victims free enough reservable hosts for Reserve to succeed, and
+// the head is then placed with no deadline. scheduleRound's per-pass
+// capacity count relies on this.
 func (s *Scheduler) tryPreempt(js *jobState, t time.Duration) (bool, error) {
 	need := js.ranks() - s.Cluster.Capacity(s.Select)
 	if need <= 0 {

@@ -65,6 +65,24 @@ func WeightedShape(spec JobSpec, hosts []*cluster.Host) (decomp.Shape, error) {
 	return decomp.WeightedShape2D(spec.JX, spec.JY, gx, gy, speed)
 }
 
+// equalSpeeds reports whether every rank of the spec runs at the same
+// speed on hosts. WeightedShape then returns UniformShape bit for bit
+// (or fails, on too few hosts or zero speeds), so the placement needs
+// no weighted shape.
+func equalSpeeds(spec JobSpec, hosts []*cluster.Host) bool {
+	n := min(spec.Ranks(), len(hosts))
+	if n == 0 {
+		return true
+	}
+	s0 := hosts[0].Speed(spec.Method)
+	for _, h := range hosts[1:n] {
+		if h.Speed(spec.Method) != s0 {
+			return false
+		}
+	}
+	return true
+}
+
 // forEachRank walks the spec's lattice in rank order (row-major, planes
 // outermost) yielding each rank's node count under the shape.
 func forEachRank(spec JobSpec, shape decomp.Shape, f func(rank, nodes int)) {

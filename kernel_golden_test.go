@@ -28,7 +28,7 @@ import (
 // Regenerate (only for an intended numerical change) with
 //
 //	go test -run TestKernelGoldenHashes -update-golden .
-var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/kernel_golden.txt")
+var updateGolden = flag.Bool("update-golden", false, "rewrite the testdata/*_golden.txt files of the tests that run")
 
 const (
 	goldenFile  = "testdata/kernel_golden.txt"
@@ -217,9 +217,11 @@ func fieldHash(v []float64) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-func readGolden(t *testing.T) map[string]string {
+// readGolden parses a golden file of "key sum" lines; blank lines and
+// lines starting with # are skipped.
+func readGolden(t *testing.T, path string) map[string]string {
 	t.Helper()
-	f, err := os.Open(goldenFile)
+	f, err := os.Open(path)
 	if err != nil {
 		t.Fatalf("reading golden hashes: %v", err)
 	}
@@ -243,17 +245,19 @@ func readGolden(t *testing.T) map[string]string {
 	return out
 }
 
-func writeGolden(t *testing.T, got map[string]string) {
+// writeGolden rewrites a golden file: the header comment, then one
+// "key sum" line per entry in key order.
+func writeGolden(t *testing.T, path, header string, got map[string]string) {
 	t.Helper()
 	var b strings.Builder
-	fmt.Fprintf(&b, "# SHA-256 of every solver field (ghosts included) after %d steps; see kernel_golden_test.go.\n", goldenSteps)
+	fmt.Fprintf(&b, "# %s\n", header)
 	for _, k := range slices.Sorted(maps.Keys(got)) {
 		fmt.Fprintf(&b, "%s %s\n", k, got[k])
 	}
 	if err := os.MkdirAll("testdata", 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(goldenFile, []byte(b.String()), 0o644); err != nil {
+	if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -304,13 +308,19 @@ func TestKernelGoldenHashes(t *testing.T) {
 		}
 	}
 	if *updateGolden {
-		writeGolden(t, got)
+		writeGolden(t, goldenFile, fmt.Sprintf("SHA-256 of every solver field (ghosts included) after %d steps; see kernel_golden_test.go.", goldenSteps), got)
 		return
 	}
-	want := readGolden(t)
+	compareGolden(t, readGolden(t, goldenFile), got)
+}
+
+// compareGolden reports every pinned key that was not produced and every
+// produced hash that differs from its pin.
+func compareGolden(t *testing.T, want, got map[string]string) {
+	t.Helper()
 	for _, k := range slices.Sorted(maps.Keys(want)) {
 		if _, ok := got[k]; !ok {
-			t.Errorf("%s: pinned field not produced", k)
+			t.Errorf("%s: pinned key not produced", k)
 		}
 	}
 	for _, k := range slices.Sorted(maps.Keys(got)) {
