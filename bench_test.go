@@ -20,8 +20,10 @@ import (
 	"repro/internal/grid"
 	"repro/internal/lbm"
 	"repro/internal/model"
+	"repro/internal/msg"
 	"repro/internal/netsim"
 	"repro/internal/perf"
+	"repro/internal/registry"
 	"repro/internal/sched"
 	"repro/internal/syncfile"
 )
@@ -560,6 +562,80 @@ func BenchmarkHaloExchangeRoundTrip(b *testing.B) {
 				s.Unpack(0, decomp.West, buf)
 			}
 			b.SetBytes(int64(8 * len(buf)))
+		})
+	}
+}
+
+// BenchmarkTransportExchange is one halo exchange between two ranks over
+// a transport: each rank sends two 128-value frames to the other, flushes
+// and receives two, as each rank of a two-rank lattice periodic in x does
+// in every exchanging phase. allocs/op counts both ranks.
+func BenchmarkTransportExchange(b *testing.B) {
+	for _, tc := range []struct {
+		name string
+		open func(b *testing.B) (msg.Transport, msg.Transport)
+	}{
+		{"hub", func(b *testing.B) (msg.Transport, msg.Transport) {
+			hub := msg.NewHub()
+			return hub.Join(0), hub.Join(1)
+		}},
+		{"tcp", func(b *testing.B) (msg.Transport, msg.Transport) {
+			reg, err := registry.New(b.TempDir())
+			if err != nil {
+				b.Fatal(err)
+			}
+			t0, err := msg.NewTCP(0, 0, reg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			t1, err := msg.NewTCP(1, 0, reg)
+			if err != nil {
+				t0.Close()
+				b.Fatal(err)
+			}
+			return t0, t1
+		}},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			t0, t1 := tc.open(b)
+			defer t0.Close()
+			defer t1.Close()
+			// exchanges runs n exchanges from t's side; Close unblocks a
+			// side whose peer failed.
+			exchanges := func(t msg.Transport, to, n int) error {
+				data := make([]float64, 128)
+				for i := range n {
+					for dir := range 2 {
+						if err := t.Send(msg.Message{To: to, Step: i, Dir: dir, Data: data}); err != nil {
+							return err
+						}
+					}
+					if err := t.Flush(); err != nil {
+						return err
+					}
+					for range 2 {
+						if _, err := t.Recv(); err != nil {
+							return err
+						}
+					}
+				}
+				return nil
+			}
+			errc := make(chan error, 1)
+			run := func(n int) {
+				go func() { errc <- exchanges(t1, 0, n) }()
+				if err := exchanges(t0, 1, n); err != nil {
+					b.Fatal(err)
+				}
+				if err := <-errc; err != nil {
+					b.Fatal(err)
+				}
+			}
+			run(1) // connects the TCP pair outside the timing
+			b.ReportAllocs()
+			b.ResetTimer()
+			run(b.N)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/exchange")
 		})
 	}
 }

@@ -41,10 +41,11 @@ type Program interface {
 	// Compute runs one local phase.
 	Compute(phase int)
 	// Sends returns the messages to emit after a phase. The returned
-	// payload slices are only valid until the next call.
+	// slice and its payloads are only valid until the next call.
 	Sends(phase int) []Send
 	// Expects returns the (peer, dirCode) pairs the Program must receive
-	// after a phase before the next phase may start.
+	// after a phase before the next phase may start. Callers must not
+	// modify the returned slice.
 	Expects(phase int) []Expect
 	// Unpack consumes a received payload for a phase and direction code.
 	Unpack(phase int, dirCode int, data []float64)
@@ -89,12 +90,28 @@ type Program2D struct {
 	D   *decomp.Decomp2D
 	Sub *decomp.Subregion2D
 
-	buf []float64
+	// The neighbour tables of an exchanging phase, one entry per
+	// neighbour in decomp.Dirs order: the message to it (Data refilled
+	// by every Sends call) and the message from it, whose Dir is the
+	// direction the neighbour lies in. Every exchanging phase uses the
+	// whole stencil.
+	sends   []Send
+	expects []Expect
+	buf     []float64
 }
 
 // NewProgram2D builds the Program for the subregion with the given rank.
 func NewProgram2D(m Method2D, d *decomp.Decomp2D, rank int) *Program2D {
-	return &Program2D{M: m, D: d, Sub: d.ByRank(rank)}
+	p := &Program2D{M: m, D: d, Sub: d.ByRank(rank)}
+	for _, dir := range decomp.Dirs(m.Stencil()) {
+		n := d.Neighbor(p.Sub, dir)
+		if n == nil {
+			continue
+		}
+		p.sends = append(p.sends, Send{Peer: n.Rank, Dir: int(dir.Opposite())})
+		p.expects = append(p.expects, Expect{Peer: n.Rank, Dir: int(dir)})
+	}
+	return p
 }
 
 // Rank returns the subregion's dense rank.
@@ -113,22 +130,13 @@ func (p *Program2D) Sends(phase int) []Send {
 	if !p.M.Exchanges(phase) {
 		return nil
 	}
-	var out []Send
 	p.buf = p.buf[:0]
-	for _, dir := range decomp.Dirs(p.M.Stencil()) {
-		n := p.D.Neighbor(p.Sub, dir)
-		if n == nil {
-			continue
-		}
+	for i, e := range p.expects {
 		start := len(p.buf)
-		p.buf = p.M.Pack(phase, dir, p.buf)
-		out = append(out, Send{
-			Peer: n.Rank,
-			Dir:  int(dir.Opposite()),
-			Data: p.buf[start:],
-		})
+		p.buf = p.M.Pack(phase, decomp.Dir(e.Dir), p.buf)
+		p.sends[i].Data = p.buf[start:]
 	}
-	return out
+	return p.sends
 }
 
 // Expects lists the messages due after an exchanging phase: one from every
@@ -137,13 +145,7 @@ func (p *Program2D) Expects(phase int) []Expect {
 	if !p.M.Exchanges(phase) {
 		return nil
 	}
-	var out []Expect
-	for _, dir := range decomp.Dirs(p.M.Stencil()) {
-		if n := p.D.Neighbor(p.Sub, dir); n != nil {
-			out = append(out, Expect{Peer: n.Rank, Dir: int(dir)})
-		}
-	}
-	return out
+	return p.expects
 }
 
 // Unpack stores a received payload into the method's halo regions.
@@ -199,12 +201,32 @@ type Program3D struct {
 	D   *decomp.Decomp3D
 	Sub *decomp.Subregion3D
 
-	buf []float64
+	// Per-phase neighbour tables, indexed by phase, one entry per face
+	// with a neighbour in ExchangeDirs order: the message to it (Data
+	// refilled by every Sends call) and the message from it, whose Dir
+	// is the face.
+	sends   [][]Send
+	expects [][]Expect
+	buf     []float64
 }
 
 // NewProgram3D builds the Program for the box with the given rank.
 func NewProgram3D(m Method3D, d *decomp.Decomp3D, rank int) *Program3D {
-	return &Program3D{M: m, D: d, Sub: d.ByRank(rank)}
+	p := &Program3D{M: m, D: d, Sub: d.ByRank(rank)}
+	phases := m.Phases()
+	p.sends = make([][]Send, phases)
+	p.expects = make([][]Expect, phases)
+	for ph := range phases {
+		for _, dir := range m.ExchangeDirs(ph) {
+			n := d.Neighbor(p.Sub, dir)
+			if n == nil {
+				continue
+			}
+			p.sends[ph] = append(p.sends[ph], Send{Peer: n.Rank, Dir: int(dir.Opposite())})
+			p.expects[ph] = append(p.expects[ph], Expect{Peer: n.Rank, Dir: int(dir)})
+		}
+	}
+	return p
 }
 
 // Rank returns the box's dense rank.
@@ -218,34 +240,18 @@ func (p *Program3D) Compute(phase int) { p.M.Compute(phase) }
 
 // Sends packs one message per exchanged face of the phase.
 func (p *Program3D) Sends(phase int) []Send {
-	var out []Send
 	p.buf = p.buf[:0]
-	for _, dir := range p.M.ExchangeDirs(phase) {
-		n := p.D.Neighbor(p.Sub, dir)
-		if n == nil {
-			continue
-		}
+	sends := p.sends[phase]
+	for i, e := range p.expects[phase] {
 		start := len(p.buf)
-		p.buf = p.M.Pack(phase, dir, p.buf)
-		out = append(out, Send{
-			Peer: n.Rank,
-			Dir:  int(dir.Opposite()),
-			Data: p.buf[start:],
-		})
+		p.buf = p.M.Pack(phase, decomp.Dir3(e.Dir), p.buf)
+		sends[i].Data = p.buf[start:]
 	}
-	return out
+	return sends
 }
 
 // Expects lists the per-face messages due after a phase.
-func (p *Program3D) Expects(phase int) []Expect {
-	var out []Expect
-	for _, dir := range p.M.ExchangeDirs(phase) {
-		if n := p.D.Neighbor(p.Sub, dir); n != nil {
-			out = append(out, Expect{Peer: n.Rank, Dir: int(dir)})
-		}
-	}
-	return out
-}
+func (p *Program3D) Expects(phase int) []Expect { return p.expects[phase] }
 
 // Unpack stores a received payload into the method's halo regions.
 func (p *Program3D) Unpack(phase int, dirCode int, data []float64) {

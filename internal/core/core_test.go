@@ -172,6 +172,83 @@ func TestTCPMatchesHub(t *testing.T) {
 	}
 }
 
+// TestTCPMatchesSequential3D: FD 3D over TCP on a 2x1x1 lattice periodic
+// in x, where both of a phase's messages go to the one peer and leave in
+// one flush, is bitwise identical to the sequential reference.
+func TestTCPMatchesSequential3D(t *testing.T) {
+	d, err := decomp.New3D(2, 1, 1, 16, 8, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.PeriodicX = true
+	p := fluid.DefaultParams()
+	p.Nu = 0.1
+	p.Eps = 0.005
+	p.ForceX = 1e-5
+	cfg := &Config3D{
+		Method: MethodFD, Par: p,
+		Mask: fluid.ChannelMask3D(16, 8, 8), D: d,
+		InitRho: func(x, y, z int) float64 {
+			return 1 + 0.001*math.Sin(2*math.Pi*float64(x+y+z)/16)
+		},
+	}
+	const steps = 20
+	seq, _, err := RunSequential3D(cfg, steps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg, err := registry.New(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	par, err := RunParallel3D(cfg, steps, func(rank, epoch int) (msg.Transport, error) {
+		return msg.NewTCP(rank, epoch, reg)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range seq.Rho {
+		if seq.Rho[i] != par.Rho[i] || seq.Vx[i] != par.Vx[i] ||
+			seq.Vy[i] != par.Vy[i] || seq.Vz[i] != par.Vz[i] {
+			t.Fatalf("TCP 3D run differs from sequential at %d", i)
+		}
+	}
+}
+
+// TestSendsExpectsAllocationFree: after the first call has sized the pack
+// buffer, Sends and Expects allocate nothing, in both dimensions.
+func TestSendsExpectsAllocationFree(t *testing.T) {
+	cfg2 := channelConfig(t, MethodLB, 2, 2, 24, 16)
+	p2, err := cfg2.NewProgram(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d3, err := decomp.New3D(2, 2, 1, 12, 12, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d3.PeriodicX = true
+	cfg3 := &Config3D{Method: MethodLB, Par: fluid.DefaultParams(), Mask: fluid.ChannelMask3D(12, 12, 6), D: d3}
+	p3, err := cfg3.NewProgram(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []Program{p2, p3} {
+		exchanged := 0
+		allocs := testing.AllocsPerRun(10, func() {
+			for ph := 0; ph < p.Phases(); ph++ {
+				exchanged += len(p.Sends(ph)) + len(p.Expects(ph))
+			}
+		})
+		if exchanged == 0 {
+			t.Errorf("%T: no exchanges; the test measures nothing", p)
+		}
+		if allocs != 0 {
+			t.Errorf("%T: Sends+Expects allocate %v times per step, want 0", p, allocs)
+		}
+	}
+}
+
 // TestPoiseuilleThroughDriver: physics through the full distributed stack.
 func TestPoiseuilleThroughDriver(t *testing.T) {
 	d, _ := decomp.New2D(2, 2, 16, 21, decomp.Full)

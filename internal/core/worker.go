@@ -174,6 +174,11 @@ func (w *Worker) RunStep() error {
 					w.Rank(), w.Step, ph, s.Peer, err)
 			}
 		}
+		// One flush per phase: the transport may batch a phase's frames
+		// into one write per peer.
+		if err := w.t.Flush(); err != nil {
+			return fmt.Errorf("rank %d step %d phase %d: flush: %w", w.Rank(), w.Step, ph, err)
+		}
 		if err := w.await(ph); err != nil {
 			return err
 		}

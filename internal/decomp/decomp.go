@@ -104,13 +104,16 @@ func (d Dir) String() string {
 	return names[d]
 }
 
+// allDirs lists every direction; the star stencil uses the first four.
+var allDirs = [numDirs]Dir{West, East, South, North, SouthWest, SouthEast, NorthWest, NorthEast}
+
 // Dirs returns the directions that participate in a stencil, in a fixed
-// deterministic order.
+// deterministic order. The slice is shared: callers must not modify it.
 func Dirs(s Stencil) []Dir {
 	if s == Star {
-		return []Dir{West, East, South, North}
+		return allDirs[:4:4]
 	}
-	return []Dir{West, East, South, North, SouthWest, SouthEast, NorthWest, NorthEast}
+	return allDirs[:]
 }
 
 // Subregion2D describes one rectangular piece of a 2D decomposition.

@@ -64,10 +64,11 @@ func (d Dir3) String() string {
 	return names[d]
 }
 
-// Dirs3 returns all six face directions in deterministic order.
-func Dirs3() []Dir3 {
-	return []Dir3{West3, East3, South3, North3, Down3, Up3}
-}
+var allDirs3 = [numDirs3]Dir3{West3, East3, South3, North3, Down3, Up3}
+
+// Dirs3 returns all six face directions in deterministic order. The slice
+// is shared: callers must not modify it.
+func Dirs3() []Dir3 { return allDirs3[:] }
 
 // Subregion3D describes one box of a 3D decomposition.
 type Subregion3D struct {

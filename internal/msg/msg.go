@@ -18,15 +18,25 @@
 // first-come-first-served communication via select outperforms strict
 // ordering because delayed processes do not stall the others); the driver
 // matches arrived messages to (step, phase, direction) slots itself.
+//
+// Send may buffer: a message is only guaranteed to be on its way once
+// Flush returns. The TCP transport appends each frame to a per-peer buffer
+// and Flush writes every buffer that holds frames in one write, so a
+// worker that flushes once per phase pays one write per peer per phase,
+// however many faces it shares with that peer. The channel and UDP
+// transports deliver in Send and their Flush does nothing. Close discards
+// frames sent but not flushed.
 package msg
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"math"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
@@ -48,12 +58,19 @@ var ErrClosed = errors.New("msg: transport closed")
 
 // Transport sends and receives messages between ranks.
 type Transport interface {
-	// Send delivers m to rank m.To. It may block briefly for flow
-	// control but never waits for the receiver to call Recv.
+	// Send queues m for rank m.To. It may buffer m until the next Flush,
+	// may block briefly for flow control, but never waits for the
+	// receiver to call Recv. The payload is copied or encoded before
+	// Send returns, so the caller may reuse it.
 	Send(m Message) error
+	// Flush delivers every message sent since the last Flush. A worker
+	// flushes once per phase, after the phase's sends and before it
+	// waits for its neighbours.
+	Flush() error
 	// Recv blocks until any message arrives (FCFS over all peers).
 	Recv() (Message, error)
 	// Close tears the transport down; blocked Recv calls return ErrClosed.
+	// Messages sent but not flushed are discarded.
 	Close() error
 }
 
@@ -69,11 +86,12 @@ const queueCap = 1024
 type Hub struct {
 	mu    sync.Mutex
 	boxes map[int]chan Message
+	wait  time.Duration // how long Send waits for a rank to join
 }
 
 // NewHub creates an empty hub; ranks join with Join.
 func NewHub() *Hub {
-	return &Hub{boxes: make(map[int]chan Message)}
+	return &Hub{boxes: make(map[int]chan Message), wait: DialTimeout}
 }
 
 // Join registers a rank and returns its transport. Joining an occupied
@@ -106,7 +124,7 @@ type Chan struct {
 // Send delivers m to the mailbox of rank m.To. If the destination has not
 // joined yet (it may be re-opening its channels after a migration), Send
 // waits up to DialTimeout for it, mirroring the TCP transport's dial
-// behaviour.
+// behaviour. Delivery does not wait for Flush.
 func (c *Chan) Send(m Message) error {
 	c.mu.Lock()
 	closed := c.closed
@@ -116,10 +134,10 @@ func (c *Chan) Send(m Message) error {
 	}
 	box, ok := c.hub.lookup(m.To)
 	if !ok {
-		deadline := time.Now().Add(DialTimeout)
+		deadline := time.Now().Add(c.hub.wait)
 		for !ok {
 			if time.Now().After(deadline) {
-				return fmt.Errorf("msg: rank %d not joined within %v", m.To, DialTimeout)
+				return fmt.Errorf("msg: rank %d not joined within %v", m.To, c.hub.wait)
 			}
 			time.Sleep(time.Millisecond)
 			c.mu.Lock()
@@ -137,6 +155,9 @@ func (c *Chan) Send(m Message) error {
 	box <- m
 	return nil
 }
+
+// Flush does nothing: Send has already delivered.
+func (c *Chan) Flush() error { return nil }
 
 // Recv blocks until a message arrives.
 func (c *Chan) Recv() (Message, error) {
@@ -167,10 +188,22 @@ func (c *Chan) Close() error {
 // ---------------------------------------------------------------------------
 // TCP transport
 
-// frame header: magic, from, step, phase, dir, payload length (in values).
 const (
+	// frame header: magic, from, step, phase, dir, payload length (in values).
 	frameMagic  = 0x50415331 // "PAS1", after the paper's author
 	headerBytes = 6 * 4
+
+	// maxFrameValues rejects a header whose payload length no halo
+	// message comes near.
+	maxFrameValues = 1 << 26
+	// maxPrealloc caps what readFrame allocates on the word of a header
+	// alone (256 KiB, far above any halo face). A longer payload grows as
+	// its bytes arrive, so a corrupt length cannot allocate memory that
+	// nobody sent.
+	maxPrealloc = 1 << 15
+	// readBufBytes sizes each connection's read buffer, so that one read
+	// takes in everything a peer flushed in a phase.
+	readBufBytes = 64 << 10
 )
 
 // TCP is the real-socket transport. One goroutine per accepted connection
@@ -186,13 +219,19 @@ type TCP struct {
 
 	mu     sync.Mutex
 	peers  map[int]*peerConn
+	dirty  []*peerConn // peers with unflushed frames, in first-send order
 	closed bool
 	wg     sync.WaitGroup
+
+	fmu      sync.Mutex  // serializes Flush
+	flushing []*peerConn // Flush's copy of dirty, reused across flushes
 }
 
 type peerConn struct {
+	rank int
 	conn net.Conn
-	wmu  sync.Mutex // serializes frame writes
+	wmu  sync.Mutex // guards wbuf and serializes writes to conn
+	wbuf []byte     // frames sent since the last flush; reused
 }
 
 // DialTimeout bounds how long Send waits for a peer to publish its address
@@ -243,7 +282,7 @@ func (t *TCP) acceptLoop() {
 			continue
 		}
 		from := int(binary.LittleEndian.Uint32(hello[:]))
-		pc := &peerConn{conn: conn}
+		pc := &peerConn{rank: from, conn: conn}
 		t.mu.Lock()
 		if old, ok := t.peers[from]; ok {
 			old.conn.Close()
@@ -262,8 +301,9 @@ func (t *TCP) acceptLoop() {
 
 func (t *TCP) readLoop(conn net.Conn) {
 	defer t.wg.Done()
+	r := bufio.NewReaderSize(conn, readBufBytes)
 	for {
-		m, err := readFrame(conn)
+		m, err := readFrame(r)
 		if err != nil {
 			return
 		}
@@ -326,7 +366,7 @@ func (t *TCP) dial(to int) (*peerConn, error) {
 		conn.Close()
 		return nil, fmt.Errorf("msg: rank %d handshake with %d: %w", t.rank, to, err)
 	}
-	pc := &peerConn{conn: conn}
+	pc := &peerConn{rank: to, conn: conn}
 	t.mu.Lock()
 	t.peers[to] = pc
 	closed := t.closed
@@ -341,7 +381,8 @@ func (t *TCP) dial(to int) (*peerConn, error) {
 	return pc, nil
 }
 
-// Send frames and writes m to rank m.To, dialing on first use.
+// Send frames m into the buffer of rank m.To's connection, dialing on
+// first use. Nothing reaches the socket until Flush.
 func (t *TCP) Send(m Message) error {
 	t.mu.Lock()
 	if t.closed {
@@ -356,7 +397,41 @@ func (t *TCP) Send(m Message) error {
 	m.From = t.rank
 	pc.wmu.Lock()
 	defer pc.wmu.Unlock()
-	return writeFrame(pc.conn, m)
+	if len(pc.wbuf) == 0 {
+		// Registered under wmu, so a Flush that starts after this Send
+		// returns finds the peer.
+		t.mu.Lock()
+		t.dirty = append(t.dirty, pc)
+		t.mu.Unlock()
+	}
+	pc.wbuf = appendFrame(pc.wbuf, m)
+	return nil
+}
+
+// Flush writes every peer's buffered frames, one write per peer. It tries
+// every peer and returns the first write error.
+func (t *TCP) Flush() error {
+	t.fmu.Lock()
+	defer t.fmu.Unlock()
+	t.mu.Lock()
+	if t.closed {
+		t.mu.Unlock()
+		return ErrClosed
+	}
+	t.flushing = append(t.flushing[:0], t.dirty...)
+	t.dirty = t.dirty[:0]
+	t.mu.Unlock()
+	var first error
+	for _, pc := range t.flushing {
+		pc.wmu.Lock()
+		_, err := pc.conn.Write(pc.wbuf)
+		pc.wbuf = pc.wbuf[:0]
+		pc.wmu.Unlock()
+		if err != nil && first == nil {
+			first = fmt.Errorf("msg: rank %d write to rank %d: %w", t.rank, pc.rank, err)
+		}
+	}
+	return first
 }
 
 // Recv blocks until any peer delivers a message (FCFS).
@@ -369,8 +444,9 @@ func (t *TCP) Recv() (Message, error) {
 }
 
 // Close unpublishes the address, closes the listener and all connections,
-// and releases blocked receivers. It is the "close their TCP/IP
-// communication channels" step of the migration protocol.
+// and releases blocked receivers. Frames not yet flushed are discarded.
+// It is the "close their TCP/IP communication channels" step of the
+// migration protocol.
 func (t *TCP) Close() error {
 	t.mu.Lock()
 	if t.closed {
@@ -380,6 +456,7 @@ func (t *TCP) Close() error {
 	t.closed = true
 	peers := t.peers
 	t.peers = map[int]*peerConn{}
+	t.dirty = nil
 	t.mu.Unlock()
 
 	t.reg.Unpublish(t.epoch, t.rank)
@@ -392,48 +469,71 @@ func (t *TCP) Close() error {
 	return nil
 }
 
-// writeFrame encodes a message as a fixed header plus float64 payload.
-func writeFrame(w io.Writer, m Message) error {
-	buf := make([]byte, headerBytes+8*len(m.Data))
-	binary.LittleEndian.PutUint32(buf[0:], frameMagic)
-	binary.LittleEndian.PutUint32(buf[4:], uint32(m.From))
-	binary.LittleEndian.PutUint32(buf[8:], uint32(int32(m.Step)))
-	binary.LittleEndian.PutUint32(buf[12:], uint32(int32(m.Phase)))
-	binary.LittleEndian.PutUint32(buf[16:], uint32(int32(m.Dir)))
-	binary.LittleEndian.PutUint32(buf[20:], uint32(len(m.Data)))
+// appendFrame appends m's frame, a fixed header plus float64 payload, to
+// dst.
+func appendFrame(dst []byte, m Message) []byte {
+	n := len(dst)
+	size := headerBytes + 8*len(m.Data)
+	dst = slices.Grow(dst, size)[:n+size]
+	b := dst[n:]
+	le := binary.LittleEndian
+	le.PutUint32(b[0:], frameMagic)
+	le.PutUint32(b[4:], uint32(m.From))
+	le.PutUint32(b[8:], uint32(int32(m.Step)))
+	le.PutUint32(b[12:], uint32(int32(m.Phase)))
+	le.PutUint32(b[16:], uint32(int32(m.Dir)))
+	le.PutUint32(b[20:], uint32(len(m.Data)))
+	p := b[headerBytes:]
 	for i, v := range m.Data {
-		binary.LittleEndian.PutUint64(buf[headerBytes+8*i:], math.Float64bits(v))
+		le.PutUint64(p[8*i:], math.Float64bits(v))
 	}
-	_, err := w.Write(buf)
-	return err
+	return dst
 }
 
-// readFrame decodes one frame.
-func readFrame(r io.Reader) (Message, error) {
-	var hdr [headerBytes]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+// readFrame decodes one frame. The payload is decoded straight out of r's
+// buffer into the returned slice, the frame's only allocation. A stream
+// that ends at a frame boundary returns io.EOF; one that ends inside a
+// frame returns io.ErrUnexpectedEOF.
+func readFrame(r *bufio.Reader) (Message, error) {
+	hdr, err := r.Peek(headerBytes)
+	if err != nil {
+		if err == io.EOF && len(hdr) > 0 {
+			err = io.ErrUnexpectedEOF
+		}
 		return Message{}, err
 	}
-	if binary.LittleEndian.Uint32(hdr[0:]) != frameMagic {
-		return Message{}, fmt.Errorf("msg: bad frame magic %#x", binary.LittleEndian.Uint32(hdr[0:]))
+	le := binary.LittleEndian
+	if magic := le.Uint32(hdr[0:]); magic != frameMagic {
+		return Message{}, fmt.Errorf("msg: bad frame magic %#x", magic)
 	}
 	m := Message{
-		From:  int(binary.LittleEndian.Uint32(hdr[4:])),
-		Step:  int(int32(binary.LittleEndian.Uint32(hdr[8:]))),
-		Phase: int(int32(binary.LittleEndian.Uint32(hdr[12:]))),
-		Dir:   int(int32(binary.LittleEndian.Uint32(hdr[16:]))),
+		From:  int(le.Uint32(hdr[4:])),
+		Step:  int(int32(le.Uint32(hdr[8:]))),
+		Phase: int(int32(le.Uint32(hdr[12:]))),
+		Dir:   int(int32(le.Uint32(hdr[16:]))),
 	}
-	n := int(binary.LittleEndian.Uint32(hdr[20:]))
-	if n < 0 || n > 1<<26 {
+	n := int(le.Uint32(hdr[20:]))
+	if n < 0 || n > maxFrameValues {
 		return Message{}, fmt.Errorf("msg: implausible payload length %d", n)
 	}
-	payload := make([]byte, 8*n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return Message{}, err
-	}
-	m.Data = make([]float64, n)
-	for i := range m.Data {
-		m.Data[i] = math.Float64frombits(binary.LittleEndian.Uint64(payload[8*i:]))
+	r.Discard(headerBytes) // buffered: cannot fail
+	m.Data = make([]float64, 0, min(n, maxPrealloc))
+	for len(m.Data) < n {
+		k := min(n-len(m.Data), r.Size()/8)
+		b, err := r.Peek(8 * k)
+		if err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return Message{}, err
+		}
+		i0 := len(m.Data)
+		m.Data = slices.Grow(m.Data, k)[:i0+k]
+		dst := m.Data[i0:]
+		for i := range dst {
+			dst[i] = math.Float64frombits(le.Uint64(b[8*i:]))
+		}
+		r.Discard(8 * k) // peeked: cannot fail
 	}
 	return m, nil
 }

@@ -1,7 +1,9 @@
 package msg
 
 import (
+	"bufio"
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -51,10 +53,15 @@ func TestChanPayloadIsCopied(t *testing.T) {
 
 func TestChanSendToUnknownRank(t *testing.T) {
 	hub := NewHub()
+	hub.wait = 50 * time.Millisecond
 	a := hub.Join(0)
 	defer a.Close()
+	t0 := time.Now()
 	if err := a.Send(Message{To: 42}); err == nil {
 		t.Error("send to unjoined rank succeeded")
+	}
+	if d := time.Since(t0); d < hub.wait {
+		t.Errorf("Send gave up after %v, want at least %v", d, hub.wait)
 	}
 }
 
@@ -134,6 +141,9 @@ func TestTCPRoundTrip(t *testing.T) {
 	if err := a.Send(Message{To: 1, Step: 3, Phase: 0, Dir: 1, Data: data}); err != nil {
 		t.Fatal(err)
 	}
+	if err := a.Flush(); err != nil {
+		t.Fatal(err)
+	}
 	got, err := b.Recv()
 	if err != nil {
 		t.Fatal(err)
@@ -155,10 +165,16 @@ func TestTCPBidirectionalSingleConnection(t *testing.T) {
 	if err := a.Send(Message{To: 1, Step: 1, Data: []float64{1}}); err != nil {
 		t.Fatal(err)
 	}
+	if err := a.Flush(); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := b.Recv(); err != nil {
 		t.Fatal(err)
 	}
 	if err := b.Send(Message{To: 0, Step: 2, Data: []float64{2}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	m, err := a.Recv()
@@ -175,6 +191,9 @@ func TestTCPEmptyPayload(t *testing.T) {
 	if err := a.Send(Message{To: 1, Step: 9}); err != nil {
 		t.Fatal(err)
 	}
+	if err := a.Flush(); err != nil {
+		t.Fatal(err)
+	}
 	m, err := b.Recv()
 	if err != nil {
 		t.Fatal(err)
@@ -182,6 +201,117 @@ func TestTCPEmptyPayload(t *testing.T) {
 	if m.Step != 9 || len(m.Data) != 0 {
 		t.Errorf("empty-payload message mangled: %+v", m)
 	}
+}
+
+// TestTCPFlushKeepsOrder: frames buffered for several peers and flushed
+// once reach each peer in send order, bit for bit.
+func TestTCPFlushKeepsOrder(t *testing.T) {
+	reg, err := registry.New(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := make([]*TCP, 3)
+	for i := range ts {
+		if ts[i], err = NewTCP(i, 0, reg); err != nil {
+			t.Fatal(err)
+		}
+		defer ts[i].Close()
+	}
+	nan1 := math.Float64frombits(0x7ff8000000000001)
+	nan2 := math.Float64frombits(0xfff80000deadbeef)
+	want := map[int][]Message{
+		1: {
+			{Step: 4, Phase: 0, Dir: 1, Data: []float64{1.5, nan1, -0.0}},
+			{Step: 4, Phase: 0, Dir: 0},
+			{Step: 4, Phase: 1, Dir: 3, Data: []float64{nan2, math.Inf(-1), 5e-324}},
+		},
+		2: {
+			{Step: -1, Phase: 2, Dir: 5, Data: []float64{nan2}},
+			{Step: 7, Phase: 0, Dir: 2, Data: []float64{math.MaxFloat64, nan1}},
+		},
+	}
+	// Interleave the two peers' frames.
+	for _, o := range []struct{ to, i int }{{1, 0}, {2, 0}, {1, 1}, {2, 1}, {1, 2}} {
+		m := want[o.to][o.i]
+		m.To = o.to
+		if err := ts[0].Send(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := ts[0].Flush(); err != nil {
+		t.Fatal(err)
+	}
+	for to, msgs := range want {
+		for i, w := range msgs {
+			got, err := ts[to].Recv()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.From != 0 || got.To != to || got.Step != w.Step || got.Phase != w.Phase || got.Dir != w.Dir {
+				t.Fatalf("rank %d frame %d: header %+v, want %+v", to, i, got, w)
+			}
+			if len(got.Data) != len(w.Data) {
+				t.Fatalf("rank %d frame %d: %d values, want %d", to, i, len(got.Data), len(w.Data))
+			}
+			for j := range w.Data {
+				if math.Float64bits(got.Data[j]) != math.Float64bits(w.Data[j]) {
+					t.Errorf("rank %d frame %d value %d: bits %#x, want %#x", to, i, j,
+						math.Float64bits(got.Data[j]), math.Float64bits(w.Data[j]))
+				}
+			}
+		}
+	}
+}
+
+// TestTCPConcurrentSendFlush: goroutines sharing one transport, each
+// sending and flushing, lose no frame and keep each goroutine's order.
+func TestTCPConcurrentSendFlush(t *testing.T) {
+	a, b := newTCPPair(t)
+	// Connect first: concurrent first Sends would each dial.
+	if err := a.Send(Message{To: 1, Dir: -1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.Recv(); err != nil {
+		t.Fatal(err)
+	}
+	const senders, each = 4, 50
+	var wg sync.WaitGroup
+	for g := 0; g < senders; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				if err := a.Send(Message{To: 1, Dir: g, Step: i, Data: []float64{float64(i)}}); err != nil {
+					t.Error(err)
+					return
+				}
+				if i%3 == 0 {
+					if err := a.Flush(); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}
+			if err := a.Flush(); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	next := make([]int, senders)
+	for n := 0; n < senders*each; n++ {
+		m, err := b.Recv()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.Step != next[m.Dir] || m.Data[0] != float64(m.Step) {
+			t.Fatalf("sender %d: got step %d, want %d", m.Dir, m.Step, next[m.Dir])
+		}
+		next[m.Dir]++
+	}
+	wg.Wait()
 }
 
 func TestTCPRing(t *testing.T) {
@@ -218,6 +348,10 @@ func TestTCPRing(t *testing.T) {
 					return
 				}
 				if err := tr.Send(Message{To: right, Step: s, Dir: 1, Data: payload}); err != nil {
+					errCh <- err
+					return
+				}
+				if err := tr.Flush(); err != nil {
 					errCh <- err
 					return
 				}
@@ -295,7 +429,7 @@ func TestFrameRejectsGarbage(t *testing.T) {
 		w.Write([]byte("this is not a frame header......"))
 		w.Close()
 	}()
-	if _, err := readFrame(r); err == nil {
+	if _, err := readFrame(bufio.NewReader(r)); err == nil {
 		t.Error("garbage frame accepted")
 	}
 }

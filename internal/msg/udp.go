@@ -182,6 +182,9 @@ func (u *UDP) Send(m Message) error {
 	return nil
 }
 
+// Flush does nothing: Send has already transmitted.
+func (u *UDP) Flush() error { return nil }
+
 // Recv blocks until a message arrives (exactly once per sent message).
 func (u *UDP) Recv() (Message, error) {
 	m, ok := <-u.recv
